@@ -119,27 +119,6 @@ func BenchmarkEngineStepThroughput(b *testing.B) {
 	})
 }
 
-// benchConcurrent runs the worker-pool engine on an n-node grid for 64
-// steps per iteration (engine construction included, as with the old
-// goroutine-per-node engine this replaced).
-func benchConcurrent(b *testing.B, rows, cols int) {
-	b.Helper()
-	g := gen.Grid(rows, cols)
-	g.Freeze()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		factory := func(info radio.NodeInfo) radio.Protocol {
-			return &coinNode{rng: info.RNG, budget: 64}
-		}
-		if _, err := radio.Run(g, factory, radio.Options{MaxSteps: 64, Seed: 1, Concurrent: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkConcurrentEngine(b *testing.B)     { benchConcurrent(b, 16, 16) }
-func BenchmarkConcurrentEngine1024(b *testing.B) { benchConcurrent(b, 32, 32) }
-
 func BenchmarkRadioMISGrid256(b *testing.B) {
 	g := gen.Grid(16, 16)
 	for i := 0; i < b.N; i++ {

@@ -39,28 +39,21 @@ func TestCompareEngineBench(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "a:") {
 		t.Fatalf("want regression error naming bench a, got %v", err)
 	}
-	// The allocs/op gate is hardware-independent: a zero-alloc step loop
-	// that starts allocating fails even when ns/op stays put, while the
-	// proportional slack absorbs GOMAXPROCS-dependent pool setup allocs.
-	allocBase := withAllocs(report("seq", 1000.0, "pool", 5000.0), 0, 550)
-	if err := compareEngineBench(withAllocs(report("seq", 1000.0, "pool", 5000.0), 2, 590), allocBase, 0.25, &log); err != nil {
-		t.Fatalf("within-slack allocs failed: %v", err)
+	// The allocs/op gate is hardware-independent and exact: a zero-alloc
+	// step loop that starts allocating fails even when ns/op stays put, +1
+	// alloc/op over the baseline fails, and a decrease still passes
+	// (shrinking is not a regression).
+	allocBase := withAllocs(report("zero", 1000.0, "three", 5000.0), 0, 3)
+	err = compareEngineBench(withAllocs(report("zero", 1000.0, "three", 5000.0), 1, 3), allocBase, 0.25, &log)
+	if err == nil || !strings.Contains(err.Error(), "zero:") || !strings.Contains(err.Error(), "allocs/op") {
+		t.Fatalf("want allocs regression error naming zero, got %v", err)
 	}
-	err = compareEngineBench(withAllocs(report("seq", 1000.0, "pool", 5000.0), 64, 550), allocBase, 0.25, &log)
-	if err == nil || !strings.Contains(err.Error(), "allocs/op") {
-		t.Fatalf("want allocs regression error, got %v", err)
-	}
-	// Alloc-exact rows tolerate nothing: +1 alloc/op over the baseline
-	// fails even though it is far inside the generic slack, and a decrease
-	// still passes (shrinking is not a regression).
-	exactBase := withAllocs(report("seq", 1000.0, "pool", 5000.0), 3, 550)
-	exactBase.Benchmarks[0].AllocExact = true
-	err = compareEngineBench(withAllocs(report("seq", 1000.0, "pool", 5000.0), 4, 550), exactBase, 0.25, &log)
+	err = compareEngineBench(withAllocs(report("zero", 1000.0, "three", 5000.0), 0, 4), allocBase, 0.25, &log)
 	if err == nil || !strings.Contains(err.Error(), "alloc-exact") {
 		t.Fatalf("want alloc-exact regression error, got %v", err)
 	}
-	if err := compareEngineBench(withAllocs(report("seq", 1000.0, "pool", 5000.0), 2, 550), exactBase, 0.25, &log); err != nil {
-		t.Fatalf("alloc decrease on exact row must pass: %v", err)
+	if err := compareEngineBench(withAllocs(report("zero", 1000.0, "three", 5000.0), 0, 2), allocBase, 0.25, &log); err != nil {
+		t.Fatalf("alloc decrease must pass: %v", err)
 	}
 
 	// Benchmarks missing from the baseline never fail.

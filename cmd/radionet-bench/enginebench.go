@@ -21,22 +21,19 @@ import (
 
 // This file implements the -engine-bench mode: it runs the simulator-engine
 // micro-benchmarks through testing.Benchmark and writes a machine-readable
-// BENCH_engine.json so the perf trajectory is tracked across PRs. The
-// seed-baseline block records the same workloads measured on the seed's
-// engines (dense-scan delivery, goroutine-per-node concurrency) for
-// comparison.
+// BENCH_engine.json so the perf trajectory is tracked across changes. The
+// seed-baseline block records the dense rows measured on the seed's
+// dense-scan engine for comparison.
 
-// EngineBenchResult is one benchmark row of BENCH_engine.json. Procs is
-// the GOMAXPROCS override the row ran under (0 = the process default, see
-// the report's gomaxprocs field). AllocExact marks rows whose timed region
-// is a steady-state step loop with no construction inside it: allocs/op is
-// deterministic there, so the regression gate compares it exactly — any
-// increase over the committed baseline fails, with no slack.
+// EngineBenchResult is one benchmark row of BENCH_engine.json. Every row's
+// timed region is a steady-state step loop with no construction inside it,
+// so allocs/op is deterministic and AllocExact is always set: the
+// regression gate compares allocs/op exactly — any increase over the
+// committed baseline fails, with no slack.
 type EngineBenchResult struct {
 	Name            string  `json:"name"`
 	Nodes           int     `json:"nodes"`
 	StepsPerOp      int     `json:"steps_per_op"`
-	Procs           int     `json:"procs,omitempty"`
 	NsPerOp         float64 `json:"ns_per_op"`
 	AllocsPerOp     int64   `json:"allocs_per_op"`
 	BytesPerOp      int64   `json:"bytes_per_op"`
@@ -57,6 +54,7 @@ type EngineBenchReport struct {
 	GeneratedBy  string              `json:"generated_by"`
 	GoVersion    string              `json:"go_version"`
 	GoMaxProcs   int                 `json:"gomaxprocs"`
+	NumCPU       int                 `json:"num_cpu"`
 	Benchmarks   []EngineBenchResult `json:"benchmarks"`
 	SeedBaseline []EngineBenchResult `json:"seed_baseline"`
 	BaselineNote string              `json:"baseline_note"`
@@ -89,8 +87,8 @@ func (c *benchNode) Done() bool                          { return c.dead || c.st
 // construction (node states, CSR views, delivery scratch — thousands of
 // one-time allocations at n=4096) inside the timed region, where it divides
 // by b.N and masquerades as a handful of per-step allocs/op whenever b.N
-// lands small. Only the sequential benches use this: their Act calls run on
-// the benchmark goroutine, so the reset is race-free.
+// lands small. Act calls run on the benchmark goroutine, so the reset is
+// race-free.
 type timerArmer struct {
 	b     *testing.B
 	armed bool
@@ -135,10 +133,10 @@ func benchSequentialSteps(rows, cols, liveCount int) func(b *testing.B) {
 	}
 }
 
-// benchDynSteps measures one sequential engine step per op on an rows×cols
-// grid running under a churn schedule (epoch swap every epochLen steps), so
-// the dynamic-topology overhead — one comparison per step plus the amortized
-// per-epoch CSR swap — is tracked alongside the static engines.
+// benchDynSteps measures one engine step per op on an rows×cols grid
+// running under a churn schedule (epoch swap every epochLen steps), so the
+// dynamic-topology overhead — one comparison per step plus the amortized
+// per-epoch CSR swap — is tracked alongside the static rows.
 func benchDynSteps(rows, cols, epochLen int) func(b *testing.B) {
 	return func(b *testing.B) {
 		g := gen.Grid(rows, cols)
@@ -239,34 +237,10 @@ func benchSINRSteps(n int) func(b *testing.B) {
 	}
 }
 
-// benchPoolSINRRun measures one 64-step worker-pool SINR run per op, engine
-// and model construction included.
-func benchPoolSINRRun(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		pts := sinrDeployment(n)
-		params := phy.SINRParams{}.WithDefaults()
-		g := gen.SINRConnectivity(pts, params)
-		g.Freeze()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			model, err := phy.NewSINR(pts, params)
-			if err != nil {
-				b.Fatal(err)
-			}
-			factory := func(info radio.NodeInfo) radio.Protocol {
-				return &sinrNode{rng: info.RNG, budget: 64}
-			}
-			if _, err := radio.Run(g, factory, radio.Options{MaxSteps: 64, Seed: 1, Concurrent: true, PHY: model}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // hugeTopo lazily builds and caches one streaming-path SINR topology, so a
-// huge row, its pool twin, and the footprint measurement share a single
-// gen.BuildCSR call — at n=10⁶ the build (connectivity retries included) is
-// seconds of wall clock and must not repeat per benchmark iteration ramp.
+// huge row and its footprint measurement share a single gen.BuildCSR call —
+// at n=10⁶ the build (connectivity retries included) is seconds of wall
+// clock and must not repeat per benchmark iteration ramp.
 type hugeTopo struct {
 	n     int
 	once  sync.Once
@@ -295,8 +269,8 @@ func (h *hugeTopo) build() error {
 // memArmer records the run's resident heap once, at the first Act of a live
 // run — the first moment after the engine has finished constructing itself —
 // as a GC'd HeapAlloc delta against the pre-construction baseline. The
-// sequential footprint run fires it on the benchmark goroutine, so no
-// synchronization is needed.
+// footprint run fires it on the benchmark goroutine, so no synchronization
+// is needed.
 type memArmer struct {
 	base  uint64
 	bytes int64
@@ -328,7 +302,7 @@ func (r *measureOnFirstAct) Act(step int) radio.Action {
 	return r.Protocol.Act(step)
 }
 
-// measureFootprint runs a short sequential run over the cached topology and
+// measureFootprint runs a short run over the cached topology and
 // returns the resident engine bytes: GC'd HeapAlloc at the first step minus
 // the pre-construction baseline. Everything a real run keeps live is live at
 // that point — packed CSR, positions, the SINR model's SoA arrays and grid,
@@ -349,7 +323,7 @@ func (h *hugeTopo) measureFootprint(base uint64) (int64, error) {
 	return arm.bytes, nil
 }
 
-// benchStreamSINRSteps measures one sequential engine step per op on the
+// benchStreamSINRSteps measures one engine step per op on the
 // million-node path: streaming-built (and, above the threshold, delta-packed)
 // CSR through the graph-free radio.RunCSR entry, SINR delivery from the
 // cached deployment.
@@ -368,29 +342,6 @@ func benchStreamSINRSteps(h *hugeTopo) func(b *testing.B) {
 		}
 		if _, err := radio.RunCSR(h.csr, factory, radio.Options{MaxSteps: b.N, Seed: 1, PHY: model}); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// benchPoolStreamSINRRun measures one 64-step worker-pool run per op on the
-// same streaming topology, model and engine construction included.
-func benchPoolStreamSINRRun(h *hugeTopo) func(b *testing.B) {
-	return func(b *testing.B) {
-		if err := h.build(); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			model, err := phy.NewSINR(h.pts, phy.SINRParams{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			factory := func(info radio.NodeInfo) radio.Protocol {
-				return &sinrNode{rng: info.RNG, budget: 64}
-			}
-			if _, err := radio.RunCSR(h.csr, factory, radio.Options{MaxSteps: 64, Seed: 1, Concurrent: true, PHY: model}); err != nil {
-				b.Fatal(err)
-			}
 		}
 	}
 }
@@ -458,28 +409,6 @@ func benchSINRDenseRef(n int) func(b *testing.B) {
 	}
 }
 
-// benchPoolRun measures one 64-step worker-pool run per op, engine
-// construction included.
-func benchPoolRun(rows, cols int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g := gen.Grid(rows, cols)
-		g.Freeze()
-		for i := 0; i < b.N; i++ {
-			factory := func(info radio.NodeInfo) radio.Protocol {
-				return &benchNode{rng: info.RNG, budget: 64}
-			}
-			if _, err := radio.Run(g, factory, radio.Options{MaxSteps: 64, Seed: 1, Concurrent: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-// engineBenchSpecs defines the tracked engine micro-benches. procs > 0
-// pins GOMAXPROCS for that row (restored afterwards): the pool engine
-// shards per P, so the p2/p4/p8 rows are what make its parallel scaling
-// visible in the trajectory — on a host with fewer cores they still run
-// (the Ps timeshare), they just can't show a speedup there.
 // hugeTopos caches the streaming topologies shared by the huge rows below.
 var hugeTopos = map[int]*hugeTopo{
 	100000:  {n: 100000},
@@ -496,12 +425,11 @@ func hugeMem(h *hugeTopo) func() (int64, error) {
 	}
 }
 
+// engineBenchSpecs defines the tracked engine micro-benches.
 var engineBenchSpecs = []struct {
 	name       string
 	nodes      int
 	stepsPerOp int
-	procs      int
-	allocExact bool
 	// huge rows run only under -bench-huge: building a 10⁵–10⁶-node
 	// topology costs seconds to minutes and must not slow every CI gate.
 	huge bool
@@ -510,43 +438,26 @@ var engineBenchSpecs = []struct {
 	mem func() (int64, error)
 	fn  func(b *testing.B)
 }{
-	{name: "seq_dense_n1024", nodes: 1024, stepsPerOp: 1, allocExact: true, fn: benchSequentialSteps(32, 32, 0)},
-	{name: "seq_sparse_n4096_live64", nodes: 4096, stepsPerOp: 1, allocExact: true, fn: benchSequentialSteps(64, 64, 64)},
-	{name: "seq_dyn_churn_n1024", nodes: 1024, stepsPerOp: 1, allocExact: true, fn: benchDynSteps(32, 32, 64)},
-	{name: "seq_dyn_churn_n1024_obs", nodes: 1024, stepsPerOp: 1, allocExact: true, fn: benchDynStepsProbed(32, 32, 64)},
-	{name: "pool_n256_64steps", nodes: 256, stepsPerOp: 64, fn: benchPoolRun(16, 16)},
-	{name: "pool_n1024_64steps", nodes: 1024, stepsPerOp: 64, fn: benchPoolRun(32, 32)},
-	{name: "pool_n1024_64steps_p2", nodes: 1024, stepsPerOp: 64, procs: 2, fn: benchPoolRun(32, 32)},
-	{name: "pool_n1024_64steps_p4", nodes: 1024, stepsPerOp: 64, procs: 4, fn: benchPoolRun(32, 32)},
-	{name: "pool_n1024_64steps_p8", nodes: 1024, stepsPerOp: 64, procs: 8, fn: benchPoolRun(32, 32)},
-	{name: "seq_sinr_n1024", nodes: 1024, stepsPerOp: 1, allocExact: true, fn: benchSINRSteps(1024)},
-	{name: "pool_sinr_n1024", nodes: 1024, stepsPerOp: 64, fn: benchPoolSINRRun(1024)},
-	{name: "pool_sinr_n1024_p2", nodes: 1024, stepsPerOp: 64, procs: 2, fn: benchPoolSINRRun(1024)},
-	{name: "pool_sinr_n1024_p4", nodes: 1024, stepsPerOp: 64, procs: 4, fn: benchPoolSINRRun(1024)},
-	{name: "pool_sinr_n1024_p8", nodes: 1024, stepsPerOp: 64, procs: 8, fn: benchPoolSINRRun(1024)},
-	{name: "seq_sinr_n4096", nodes: 4096, stepsPerOp: 1, allocExact: true, fn: benchSINRSteps(4096)},
-	{name: "seq_sinr_n65536", nodes: 65536, stepsPerOp: 1, allocExact: true, fn: benchSINRSteps(65536)},
-	{name: "pool_sinr_n65536_p4", nodes: 65536, stepsPerOp: 64, procs: 4, fn: benchPoolSINRRun(65536)},
-	{name: "sinr_dense_ref_n4096", nodes: 4096, stepsPerOp: 1, allocExact: true, fn: benchSINRDenseRef(4096)},
-	{name: "seq_sinr_n100000", nodes: 100000, stepsPerOp: 1, allocExact: true, huge: true,
+	{name: "seq_dense_n1024", nodes: 1024, stepsPerOp: 1, fn: benchSequentialSteps(32, 32, 0)},
+	{name: "seq_sparse_n4096_live64", nodes: 4096, stepsPerOp: 1, fn: benchSequentialSteps(64, 64, 64)},
+	{name: "seq_dyn_churn_n1024", nodes: 1024, stepsPerOp: 1, fn: benchDynSteps(32, 32, 64)},
+	{name: "seq_dyn_churn_n1024_obs", nodes: 1024, stepsPerOp: 1, fn: benchDynStepsProbed(32, 32, 64)},
+	{name: "seq_sinr_n1024", nodes: 1024, stepsPerOp: 1, fn: benchSINRSteps(1024)},
+	{name: "seq_sinr_n4096", nodes: 4096, stepsPerOp: 1, fn: benchSINRSteps(4096)},
+	{name: "seq_sinr_n65536", nodes: 65536, stepsPerOp: 1, fn: benchSINRSteps(65536)},
+	{name: "sinr_dense_ref_n4096", nodes: 4096, stepsPerOp: 1, fn: benchSINRDenseRef(4096)},
+	{name: "seq_sinr_n100000", nodes: 100000, stepsPerOp: 1, huge: true,
 		mem: hugeMem(hugeTopos[100000]), fn: benchStreamSINRSteps(hugeTopos[100000])},
-	{name: "pool_sinr_n100000_p4", nodes: 100000, stepsPerOp: 64, procs: 4, huge: true,
-		mem: hugeMem(hugeTopos[100000]), fn: benchPoolStreamSINRRun(hugeTopos[100000])},
-	{name: "seq_sinr_n1000000", nodes: 1000000, stepsPerOp: 1, allocExact: true, huge: true,
+	{name: "seq_sinr_n1000000", nodes: 1000000, stepsPerOp: 1, huge: true,
 		mem: hugeMem(hugeTopos[1000000]), fn: benchStreamSINRSteps(hugeTopos[1000000])},
-	{name: "pool_sinr_n1000000_p4", nodes: 1000000, stepsPerOp: 64, procs: 4, huge: true,
-		mem: hugeMem(hugeTopos[1000000]), fn: benchPoolStreamSINRRun(hugeTopos[1000000])},
 }
 
-// seedBaseline is the same workload set measured at PR 1 on the seed's
-// engines (per-step dense-scan delivery with fresh counts/from allocations,
-// and the goroutine-per-node concurrent engine), on the hardware that
-// produced the first committed BENCH_engine.json.
+// seedBaseline is the dense and sparse rows measured on the seed's engine
+// (per-step dense-scan delivery with fresh counts/from allocations), on the
+// hardware that produced the first committed BENCH_engine.json.
 var seedBaseline = []EngineBenchResult{
 	{Name: "seq_dense_n1024", Nodes: 1024, StepsPerOp: 1, NsPerOp: 43366, AllocsPerOp: 2, BytesPerOp: 5122, NodeStepsPerSec: 1024 / 43366e-9},
 	{Name: "seq_sparse_n4096_live64", Nodes: 4096, StepsPerOp: 1, NsPerOp: 34653, AllocsPerOp: 2, BytesPerOp: 20487, NodeStepsPerSec: 4096 / 34653e-9},
-	{Name: "pool_n256_64steps", Nodes: 256, StepsPerOp: 64, NsPerOp: 14017021, AllocsPerOp: 1721, BytesPerOp: 237355, NodeStepsPerSec: 256 * 64 / 14017021e-9},
-	{Name: "pool_n1024_64steps", Nodes: 1024, StepsPerOp: 64, NsPerOp: 76403940, AllocsPerOp: 7958, BytesPerOp: 1094148, NodeStepsPerSec: 1024 * 64 / 76403940e-9},
 }
 
 // measureEngineBench executes the engine micro-benches and returns the
@@ -565,8 +476,9 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 		GeneratedBy:  "radionet-bench -engine-bench",
 		GoVersion:    runtime.Version(),
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
+		NumCPU:       runtime.NumCPU(),
 		SeedBaseline: seedBaseline,
-		BaselineNote: "seed engines (dense-scan delivery, goroutine-per-node concurrency) measured at PR 1 on the hardware of the first committed report",
+		BaselineNote: "seed engine (dense-scan delivery) measured on the hardware of the first committed report",
 	}
 	for _, spec := range engineBenchSpecs {
 		if spec.huge && !includeHuge {
@@ -575,14 +487,7 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 		if len(wanted) > 0 && !wanted[spec.name] {
 			continue
 		}
-		var r testing.BenchmarkResult
-		if spec.procs > 0 {
-			prev := runtime.GOMAXPROCS(spec.procs)
-			r = testing.Benchmark(spec.fn)
-			runtime.GOMAXPROCS(prev)
-		} else {
-			r = testing.Benchmark(spec.fn)
-		}
+		r := testing.Benchmark(spec.fn)
 		if r.N == 0 {
 			return report, fmt.Errorf("engine bench %s did not run", spec.name)
 		}
@@ -591,12 +496,11 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 			Name:            spec.name,
 			Nodes:           spec.nodes,
 			StepsPerOp:      spec.stepsPerOp,
-			Procs:           spec.procs,
 			NsPerOp:         ns,
 			AllocsPerOp:     r.AllocsPerOp(),
 			BytesPerOp:      r.AllocedBytesPerOp(),
 			NodeStepsPerSec: float64(spec.nodes*spec.stepsPerOp) / (ns * 1e-9),
-			AllocExact:      spec.allocExact,
+			AllocExact:      true,
 		}
 		if spec.mem != nil {
 			bytes, err := spec.mem()
@@ -656,26 +560,13 @@ func writeEngineBench(report EngineBenchReport, out io.Writer) error {
 // band is tighter than the timing tolerance.
 const bytesPerNodeTolerance = 0.25
 
-// allocSlack returns the allocs/op headroom for one benchmark in
-// compareEngineBench: an absolute floor of 2 (amortized one-time setup can
-// round into 1–2 allocs/op when the iteration count differs between
-// machines) plus an eighth of the baseline (the worker-pool benches'
-// construction allocs scale with GOMAXPROCS, which differs between the
-// baseline host and the CI runner). A genuine per-step allocation adds at
-// least stepsPerOp allocs to every op and sails past both.
-func allocSlack(baseline int64) int64 {
-	return max(2, baseline/8)
-}
-
 // compareEngineBench checks fresh results against a previously recorded
 // report (the CI bench-regression gate) on two axes: ns/op beyond the
 // fractional tolerance (wide, because baseline and runner may be different
 // hardware) and allocs/op (hardware-independent — this is the check that
-// catches a step loop that started allocating). Rows the baseline marks
-// AllocExact are steady-state step loops whose alloc count is
-// deterministic: any allocs/op increase at all fails. Other rows (the
-// pool benches, whose per-op construction allocs scale with GOMAXPROCS)
-// get the proportional allocSlack. Benchmarks absent from the baseline
+// catches a step loop that started allocating). Every row is a
+// steady-state step loop whose alloc count is deterministic, so any
+// allocs/op increase at all fails. Benchmarks absent from the baseline
 // are reported as new but never fail, so adding a bench doesn't require
 // regenerating the baseline in the same change. Speedups only produce a
 // note — refreshing the committed baseline is a deliberate act, not a
@@ -699,14 +590,9 @@ func compareEngineBench(fresh, baseline EngineBenchReport, tolerance float64, lo
 			regressed = append(regressed, fmt.Sprintf("%s: %.0f ns/op vs baseline %.0f (+%.1f%%, tolerance %.0f%%)",
 				f.Name, f.NsPerOp, b.NsPerOp, (ratio-1)*100, tolerance*100))
 		}
-		if b.AllocExact {
-			if f.AllocsPerOp > b.AllocsPerOp {
-				regressed = append(regressed, fmt.Sprintf("%s: %d allocs/op vs baseline %d (alloc-exact row: no increase allowed)",
-					f.Name, f.AllocsPerOp, b.AllocsPerOp))
-			}
-		} else if slack := allocSlack(b.AllocsPerOp); f.AllocsPerOp > b.AllocsPerOp+slack {
-			regressed = append(regressed, fmt.Sprintf("%s: %d allocs/op vs baseline %d (slack %d)",
-				f.Name, f.AllocsPerOp, b.AllocsPerOp, slack))
+		if f.AllocsPerOp > b.AllocsPerOp {
+			regressed = append(regressed, fmt.Sprintf("%s: %d allocs/op vs baseline %d (alloc-exact: no increase allowed)",
+				f.Name, f.AllocsPerOp, b.AllocsPerOp))
 		}
 		// The memory gate compares bytes/node only when both reports carry
 		// it: baselines written before the field existed (or runs that

@@ -4,7 +4,7 @@
 // digests from golden_test.go byte-for-byte. This pins two contracts at
 // once: the packed neighbor blocks are protocol-invisible (same delivery,
 // same order), and RunCSR's static-snapshot topology adapter is transcript-
-// identical to the classic Run path, on both engines.
+// identical to the classic Run path.
 package repro
 
 import (
@@ -30,13 +30,12 @@ func packedSnapshot(t *testing.T, g *graph.Graph) *graph.CSR {
 	return csr
 }
 
-func hashMISPacked(t *testing.T, concurrent bool) uint64 {
+func hashMISPacked(t *testing.T) uint64 {
 	t.Helper()
 	g := gen.Grid(6, 6)
 	csr := packedSnapshot(t, g)
 	h := trace.NewHasher()
 	out, err := mis.RunOnEngine(g, mis.Params{}, 42, func(f radio.Factory, o radio.Options) (radio.Result, error) {
-		o.Concurrent = concurrent
 		return radio.RunCSR(csr, h.Wrap(f), o)
 	})
 	if err != nil {
@@ -48,14 +47,14 @@ func hashMISPacked(t *testing.T, concurrent bool) uint64 {
 	return h.Sum()
 }
 
-func hashDecayPacked(t *testing.T, concurrent bool) uint64 {
+func hashDecayPacked(t *testing.T) uint64 {
 	t.Helper()
 	csr := packedSnapshot(t, gen.Star(16))
 	h := trace.NewHasher()
 	factory := func(info radio.NodeInfo) radio.Protocol {
 		return decay.NewNode(info, 4, info.Index > 0, info.Index)
 	}
-	if _, err := radio.RunCSR(csr, h.Wrap(factory), radio.Options{MaxSteps: 1 << 16, Seed: 7, Concurrent: concurrent}); err != nil {
+	if _, err := radio.RunCSR(csr, h.Wrap(factory), radio.Options{MaxSteps: 1 << 16, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	return h.Sum()
@@ -67,10 +66,8 @@ func TestGoldenTranscriptsPackedCSR(t *testing.T) {
 		want uint64
 		run  func() uint64
 	}{
-		{"mis", goldenMIS, func() uint64 { return hashMISPacked(t, false) }},
-		{"mis/concurrent-engine", goldenMIS, func() uint64 { return hashMISPacked(t, true) }},
-		{"decay", goldenDecay, func() uint64 { return hashDecayPacked(t, false) }},
-		{"decay/concurrent-engine", goldenDecay, func() uint64 { return hashDecayPacked(t, true) }},
+		{"mis", goldenMIS, func() uint64 { return hashMISPacked(t) }},
+		{"decay", goldenDecay, func() uint64 { return hashDecayPacked(t) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

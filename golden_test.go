@@ -4,9 +4,8 @@
 // engine or algorithm change that silently alters protocol-visible
 // semantics — delivery rules, retirement, RNG splitting, step accounting —
 // flips the digest and fails these tests, while pure refactors and
-// performance work leave it untouched. The engines' determinism contract
-// (DESIGN.md §3) makes the digests stable across the sequential and
-// worker-pool engines, which the MIS and Decay cases also assert.
+// performance work leave it untouched (the determinism contract,
+// DESIGN.md §3).
 package repro
 
 import (
@@ -42,18 +41,17 @@ const (
 	// mobile deployment draw (gen.MobileUDG, schedule seed 8), the per-epoch
 	// position hand-off through dyn into phy.NewMobileSINR, the grid-bucketed
 	// interference accumulation in fixed transmitter order, and the SINR
-	// decode rule — on both engines. Any change to the decode arithmetic,
-	// the cutoff default, the position plumbing, or the epoch-boundary
-	// placement flips this digest.
+	// decode rule. Any change to the decode arithmetic, the cutoff default,
+	// the position plumbing, or the epoch-boundary placement flips this
+	// digest.
 	goldenSINRDecay = uint64(0x487f98994ae2d74e) // amplified Decay, mobile SINR UDG, seed 19
 )
 
-func hashMIS(t *testing.T, concurrent bool) uint64 {
+func hashMIS(t *testing.T) uint64 {
 	t.Helper()
 	g := gen.Grid(6, 6)
 	h := trace.NewHasher()
 	out, err := mis.RunOnEngine(g, mis.Params{}, 42, func(f radio.Factory, o radio.Options) (radio.Result, error) {
-		o.Concurrent = concurrent
 		return radio.Run(g, h.Wrap(f), o)
 	})
 	if err != nil {
@@ -65,20 +63,20 @@ func hashMIS(t *testing.T, concurrent bool) uint64 {
 	return h.Sum()
 }
 
-func hashDecay(t *testing.T, concurrent bool) uint64 {
+func hashDecay(t *testing.T) uint64 {
 	t.Helper()
 	g := gen.Star(16)
 	h := trace.NewHasher()
 	factory := func(info radio.NodeInfo) radio.Protocol {
 		return decay.NewNode(info, 4, info.Index > 0, info.Index)
 	}
-	if _, err := radio.Run(g, h.Wrap(factory), radio.Options{MaxSteps: 1 << 16, Seed: 7, Concurrent: concurrent}); err != nil {
+	if _, err := radio.Run(g, h.Wrap(factory), radio.Options{MaxSteps: 1 << 16, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
 	return h.Sum()
 }
 
-func hashDynDecay(t *testing.T, concurrent bool) uint64 {
+func hashDynDecay(t *testing.T) uint64 {
 	t.Helper()
 	g := gen.Grid(6, 6)
 	sched, err := dyn.Churn(g, 8, 12, 0.25, xrand.New(3))
@@ -89,14 +87,14 @@ func hashDynDecay(t *testing.T, concurrent bool) uint64 {
 	factory := func(info radio.NodeInfo) radio.Protocol {
 		return decay.NewNode(info, 6, info.Index == 0, info.Index)
 	}
-	opts := radio.Options{MaxSteps: 1 << 10, Seed: 21, Topology: sched, Concurrent: concurrent}
+	opts := radio.Options{MaxSteps: 1 << 10, Seed: 21, Topology: sched}
 	if _, err := radio.Run(g, h.Wrap(factory), opts); err != nil {
 		t.Fatal(err)
 	}
 	return h.Sum()
 }
 
-func hashSINRDecay(t *testing.T, concurrent bool) uint64 {
+func hashSINRDecay(t *testing.T) uint64 {
 	t.Helper()
 	sched, err := gen.MobileUDG(36, 6, 16, 0.5, xrand.New(8))
 	if err != nil {
@@ -110,7 +108,7 @@ func hashSINRDecay(t *testing.T, concurrent bool) uint64 {
 	factory := func(info radio.NodeInfo) radio.Protocol {
 		return decay.NewNode(info, 6, info.Index == 0, info.Index)
 	}
-	opts := radio.Options{MaxSteps: 1 << 10, Seed: 19, Topology: sched, PHY: model, Concurrent: concurrent}
+	opts := radio.Options{MaxSteps: 1 << 10, Seed: 19, Topology: sched, PHY: model}
 	if _, err := radio.Run(sched.CSR(0).Graph(), h.Wrap(factory), opts); err != nil {
 		t.Fatal(err)
 	}
@@ -151,14 +149,10 @@ func TestGoldenTranscripts(t *testing.T) {
 		want uint64
 		run  func() uint64
 	}{
-		{"mis", goldenMIS, func() uint64 { return hashMIS(t, false) }},
-		{"mis/concurrent-engine", goldenMIS, func() uint64 { return hashMIS(t, true) }},
-		{"decay", goldenDecay, func() uint64 { return hashDecay(t, false) }},
-		{"decay/concurrent-engine", goldenDecay, func() uint64 { return hashDecay(t, true) }},
-		{"dyn-decay", goldenDynDecay, func() uint64 { return hashDynDecay(t, false) }},
-		{"dyn-decay/concurrent-engine", goldenDynDecay, func() uint64 { return hashDynDecay(t, true) }},
-		{"sinr-decay", goldenSINRDecay, func() uint64 { return hashSINRDecay(t, false) }},
-		{"sinr-decay/concurrent-engine", goldenSINRDecay, func() uint64 { return hashSINRDecay(t, true) }},
+		{"mis", goldenMIS, func() uint64 { return hashMIS(t) }},
+		{"decay", goldenDecay, func() uint64 { return hashDecay(t) }},
+		{"dyn-decay", goldenDynDecay, func() uint64 { return hashDynDecay(t) }},
+		{"sinr-decay", goldenSINRDecay, func() uint64 { return hashSINRDecay(t) }},
 		{"broadcast", goldenBroadcast, func() uint64 { return hashBroadcast(t) }},
 		{"election", goldenElection, func() uint64 { return hashElection(t) }},
 	}

@@ -1,13 +1,13 @@
 package dyn_test
 
-// Differential epoch-boundary determinism (ISSUE 3 satellite): the
-// sequential and worker-pool engines must produce identical transcripts
-// across topology epoch changes, for every shard count. The transcript is
-// compared via trace.Hasher digests (per-node act/deliver streams) plus the
-// aggregate Result, on churn, fault, and partition/heal schedules.
+// Differential epoch-boundary checks: on churn, fault, and partition/heal
+// schedules the engine must produce the same transcript (trace.Hasher
+// digests of the per-node act/deliver streams) and Result as a dense
+// reference loop that re-reads the schedule every step; a schedule must
+// change the transcript; and a schedule whose node count disagrees with the
+// graph is rejected.
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/dyn"
@@ -84,40 +84,97 @@ func schedules(t *testing.T) map[string]*dyn.Schedule {
 	return map[string]*dyn.Schedule{"churn": churn, "faults": faults, "partition-heal": ph}
 }
 
+// referenceDynamicRun is the dense reference loop for dynamic runs, written
+// apart from the engine: every step it asks the schedule for the epoch in
+// force (no boundary tracking), polls every not-yet-done node in index
+// order, counts each listener's transmitting neighbors by brute force over
+// that epoch's adjacency, and delivers the message (exactly one transmitting
+// neighbor) or silence.
+func referenceDynamicRun(sched *dyn.Schedule, factory radio.Factory, n, maxSteps int, seed uint64) radio.Result {
+	root := xrand.New(seed)
+	nodes := make([]radio.Protocol, n)
+	for v := range nodes {
+		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, D: n, Alpha: n, RNG: root.Split(uint64(v))})
+	}
+	live := make([]bool, n)
+	transmitting := make([]bool, n)
+	payload := make([]radio.Message, n)
+	var res radio.Result
+	for step := 0; step < maxSteps; step++ {
+		csr, _ := sched.EpochAt(step)
+		anyLive := false
+		for v, p := range nodes {
+			live[v] = !p.Done()
+			anyLive = anyLive || live[v]
+			transmitting[v], payload[v] = false, nil
+			if !live[v] {
+				continue
+			}
+			if a := p.Act(step); a.Transmit {
+				transmitting[v], payload[v] = true, a.Msg
+				res.Transmissions++
+			}
+		}
+		if !anyLive {
+			res.AllDone = true
+			break
+		}
+		for v, p := range nodes {
+			var msg radio.Message
+			if !transmitting[v] {
+				count, from := 0, -1
+				for _, u := range csr.Neighbors(v) {
+					if transmitting[u] {
+						count++
+						from = int(u)
+					}
+				}
+				switch {
+				case count == 1:
+					msg = payload[from]
+					res.Deliveries++
+				case count >= 2:
+					res.Collisions++
+				}
+			}
+			if live[v] {
+				p.Deliver(step, msg)
+			}
+		}
+		res.Steps = step + 1
+	}
+	if !res.AllDone {
+		res.AllDone = true
+		for _, p := range nodes {
+			res.AllDone = res.AllDone && p.Done()
+		}
+	}
+	return res
+}
+
 // TestEngineDifferentialAcrossEpochs runs the same dynamic gossip workload
-// on the sequential engine and on the worker-pool engine at Shards ∈
-// {1, 4, GOMAXPROCS}, asserting digest- and Result-identical runs.
+// on the engine and on referenceDynamicRun, asserting digest- and
+// Result-identical runs across every epoch change.
 func TestEngineDifferentialAcrossEpochs(t *testing.T) {
 	const steps = 160
 	base := gridGraph(8, 8)
+	factory := func(info radio.NodeInfo) radio.Protocol {
+		return &gossipNode{rng: info.RNG, has: info.Index == 0, budget: steps}
+	}
 	for name, sched := range schedules(t) {
 		t.Run(name, func(t *testing.T) {
-			run := func(concurrent bool, shards int) (uint64, radio.Result) {
-				h := trace.NewHasher()
-				factory := func(info radio.NodeInfo) radio.Protocol {
-					return &gossipNode{rng: info.RNG, has: info.Index == 0, budget: steps}
-				}
-				res, err := radio.Run(base, h.Wrap(factory), radio.Options{
-					MaxSteps:   steps,
-					Seed:       42,
-					Topology:   sched,
-					Concurrent: concurrent,
-					Shards:     shards,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return h.Sum(), res
+			eng := trace.NewHasher()
+			gotRes, err := radio.Run(base, eng.Wrap(factory), radio.Options{MaxSteps: steps, Seed: 42, Topology: sched})
+			if err != nil {
+				t.Fatal(err)
 			}
-			wantDigest, wantRes := run(false, 0)
-			for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				gotDigest, gotRes := run(true, shards)
-				if gotDigest != wantDigest {
-					t.Errorf("shards=%d: pool digest %#x differs from sequential %#x", shards, gotDigest, wantDigest)
-				}
-				if gotRes != wantRes {
-					t.Errorf("shards=%d: pool result %+v differs from sequential %+v", shards, gotRes, wantRes)
-				}
+			ref := trace.NewHasher()
+			wantRes := referenceDynamicRun(sched, ref.Wrap(factory), base.N(), steps, 42)
+			if eng.Sum() != ref.Sum() {
+				t.Errorf("engine digest %#x differs from reference %#x", eng.Sum(), ref.Sum())
+			}
+			if gotRes != wantRes {
+				t.Errorf("engine result %+v differs from reference %+v", gotRes, wantRes)
 			}
 		})
 	}

@@ -14,10 +14,10 @@
 // the base graph and, for the randomized generators, an xrand seed. Trials
 // in internal/exp derive that seed from the trial seed, so dynamic
 // experiments inherit the suite's byte-identical-output guarantee at any
-// parallelism level, and the differential tests can replay the same schedule
-// through the sequential and worker-pool engines. A Schedule is immutable
-// after construction and safe for concurrent readers (including concurrent
-// engine runs sharing one Schedule).
+// parallelism level, and tests can replay the same schedule through the
+// engine any number of times. A Schedule is immutable after construction
+// and safe for concurrent readers (including concurrent engine runs sharing
+// one Schedule).
 package dyn
 
 import (

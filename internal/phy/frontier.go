@@ -2,14 +2,9 @@ package phy
 
 // Frontier is one step's transmitter set in the two forms the batched
 // reception kernels want: a bitset for O(1) membership tests and the
-// ascending id list for ordered iteration. The engines own one Frontier per
-// run and rebuild it every step on the coordinator side — the worker-pool
-// engine merges its shard transmitter lists into it in ascending global
-// order between barriers, so a model receives one canonical frontier no
-// matter how the act phase was sharded. (The bitset is deliberately not
-// written from worker goroutines: two shards setting bits in one shared
-// uint64 word would race, while the per-shard []int32 lists they produce
-// are disjoint.)
+// ascending id list for ordered iteration. The engine owns one Frontier per
+// run and rebuilds it every step from its ascending transmitter list, so a
+// model always receives one canonical frontier.
 type Frontier struct {
 	bits []uint64
 	list []int32
@@ -32,8 +27,7 @@ func (f *Frontier) Resize(n int) {
 }
 
 // Add appends one batch of transmitters, ascending within the batch and
-// after every id already added — the engines feed shard batches in
-// ascending global order, so the accumulated list stays globally ascending.
+// after every id already added, so the accumulated list stays ascending.
 func (f *Frontier) Add(tx []int32) {
 	for _, v := range tx {
 		f.bits[uint32(v)>>6] |= 1 << (uint32(v) & 63)

@@ -7,14 +7,13 @@
 // footnote 1, where decoding is a signal-to-interference-plus-noise
 // threshold over node positions.
 //
-// The engines in internal/radio drive delivery through the Model interface,
+// The engine in internal/radio drives delivery through the Model interface,
 // so every protocol, experiment, topology schedule and service scenario in
 // this repository composes with every reception model. A Model instance is
 // stateful per run: the engine calls Sync at the start of the run and at
 // every topology epoch boundary, then per step exactly one Resolve — fed
-// the step's transmitter Frontier, which the engine assembles on the
-// coordinator side from its shard transmit lists in ascending global order
-// — and one Clear. Instances must not be shared between concurrent runs.
+// the step's transmitter Frontier, in ascending node order — and one
+// Clear. Instances must not be shared between concurrent runs.
 package phy
 
 import "repro/internal/graph"
@@ -87,14 +86,14 @@ type Model interface {
 	// for the epoch instead.
 	Sync(step int, csr *graph.CSR) error
 	// Resolve decides reception for the step's transmitter frontier,
-	// appending into out (which arrives reset). f.List() is ascending —
-	// the engines merge their shard transmit lists in ascending global
-	// order — and models that accumulate floating-point interference must
-	// sum each listener's contributions in that fixed transmitter-index
-	// order, so the sequential and worker-pool engines stay transcript-
-	// identical. The frontier is read-only to the model and owned by the
-	// engine, which clears it after Clear. Cost must be proportional to
-	// the transmitters and the listeners they can reach, not to n.
+	// appending into out (which arrives reset). f.List() is ascending, and
+	// models that accumulate floating-point interference must sum each
+	// listener's contributions in that fixed transmitter-index order, so
+	// every kernel path reaches the same decode decisions and runs stay
+	// transcript-identical. The frontier is read-only to the model and
+	// owned by the engine, which clears it after Clear. Cost must be
+	// proportional to the transmitters and the listeners they can reach,
+	// not to n.
 	Resolve(f *Frontier, out *Outcome)
 	// Clear re-zeroes any per-step scratch dirtied by Resolve, restoring
 	// the between-steps all-zero invariant at cost proportional to the
@@ -122,8 +121,7 @@ func NewCollision() *Collision { return &Collision{} }
 
 // NewCollisionCD returns the collision-detection variant (§1.5.2): listeners
 // with ≥2 transmitting neighbors receive the radio.Collision marker instead
-// of silence. This is the model Options.CollisionDetection selected before
-// the PHY layer existed.
+// of silence. Pass it as radio.Options.PHY to run the §1.5.2 variant.
 func NewCollisionCD() *Collision { return &Collision{marker: true} }
 
 // Name implements Model.

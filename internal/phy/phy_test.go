@@ -76,7 +76,7 @@ func TestCollisionModelRule(t *testing.T) {
 }
 
 func TestCollisionFrontierInShardBatches(t *testing.T) {
-	// Adding {1}, then {2} (two pool shards) must equal adding {1, 2}.
+	// Adding {1}, then {2} (two batches) must equal adding {1, 2}.
 	csr := star(4)
 	m := NewCollisionCD()
 	if err := m.Sync(0, csr); err != nil {

@@ -27,9 +27,9 @@ package phy
 // math.Pow's rounding — see pow.go — and the d==0 clamp), so the float
 // sums, and hence every decode decision, are identical whether the step ran
 // through the batched kernels, the per-transmitter fallback sweep, or the
-// dense exact-mode loop, and identical however the engines sharded the act
-// phase. That is what keeps the committed golden digests and the
-// old-vs-new reference differential valid across this layout change.
+// dense exact-mode loop. That is what keeps the committed golden digests
+// and the old-vs-new reference differential valid across this layout
+// change.
 //
 // The far-field cutoff is the one deliberate approximation: interference
 // from transmitters farther than CutoffFactor decode ranges is dropped. A

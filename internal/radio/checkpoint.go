@@ -1,6 +1,6 @@
 package radio
 
-// Engine checkpoint/resume (DESIGN.md §8). The engines are transcript-
+// Engine checkpoint/resume (DESIGN.md §8). The engine is transcript-
 // deterministic, so a run's entire future is a function of its state at a
 // step boundary: the per-node protocol states (including their private RNG
 // streams), the not-yet-retired active list, and the cumulative counters.
@@ -8,9 +8,7 @@ package radio
 // only points where the step loop already leaves its zero-alloc regime —
 // and Options.Resume reconstructs it, so a run killed at an arbitrary
 // boundary and resumed produces output byte-identical to an uninterrupted
-// run. Checkpoints are engine-portable: one captured under the sequential
-// engine resumes under the worker pool and vice versa, because both
-// engines maintain the active list as the same ascending sequence.
+// run.
 
 import "fmt"
 

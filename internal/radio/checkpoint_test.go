@@ -143,103 +143,82 @@ var errWorkerKilled = errors.New("chaos: worker killed")
 // killed at an arbitrary epoch boundary (fault-injected worker death via
 // the Checkpoint hook) and resumed from its last persisted checkpoint
 // produces transcripts, final protocol states, and a Result byte-identical
-// to the uninterrupted run — on the sequential engine, on the worker pool,
-// and across engines (checkpoint on one, resume on the other).
+// to the uninterrupted run.
 func TestCheckpointResumeByteIdentical(t *testing.T) {
 	sched, n, budget := ckptWorkload(t)
-	engines := []struct {
-		name string
-		opts Options
-	}{
-		{"sequential", Options{Topology: sched}},
-		{"pool", Options{Topology: sched, Concurrent: true, Shards: 3}},
-	}
-	type baseline struct {
-		res    Result
-		logs   [][]ckptEvent
-		finals [][]byte
-	}
-	full := make(map[string]baseline)
-	for _, e := range engines {
-		res, logs, finals, err := runCkptFlood(t, e.opts, n, budget)
-		if err != nil {
-			t.Fatalf("%s: uninterrupted run: %v", e.name, err)
-		}
-		full[e.name] = baseline{res, logs, finals}
+	base := Options{Topology: sched}
+	wantRes, wantLogs, wantFinals, err := runCkptFlood(t, base, n, budget)
+	if err != nil {
+		t.Fatalf("uninterrupted run: %v", err)
 	}
 
-	for _, capture := range engines {
-		for _, resume := range engines {
-			// Kill at each epoch boundary in turn: boundary 0 is the first
-			// topology change (the step-0 epoch is installed before the
-			// loop, so no checkpoint fires there).
-			for kill := 1; kill <= 4; kill++ {
-				name := fmt.Sprintf("capture=%s/resume=%s/kill=%d", capture.name, resume.name, kill)
-				t.Run(name, func(t *testing.T) {
-					faults := chaos.New()
-					faults.Arm("radio.checkpoint", kill-1, 1, errWorkerKilled)
-					var last *Checkpoint
-					opts := capture.opts
-					opts.Checkpoint = func(cp *Checkpoint) error {
-						// The fault fires before persisting — the kill
-						// boundary's checkpoint is lost, like a worker dying
-						// mid-append — so resume replays at least one epoch.
-						if err := faults.Check("radio.checkpoint"); err != nil {
-							return err
-						}
-						last = cp
-						return nil
-					}
-					_, killedLogs, _, err := runCkptFlood(t, opts, n, budget)
-					if !errors.Is(err, errWorkerKilled) {
-						t.Fatalf("killed run: err = %v, want %v", err, errWorkerKilled)
-					}
-					// Death at the first boundary persists nothing: resume
-					// degenerates to a from-scratch rerun (the job spec is
-					// the step-0 checkpoint), which determinism makes just
-					// as byte-identical.
-					cut := 0
-					ropts := resume.opts
-					if last != nil {
-						cut = last.Step
-						ropts.Resume = last
-					} else if kill != 1 {
-						t.Fatalf("no checkpoint persisted before kill %d", kill)
-					}
-					res2, resumedLogs, finals2, err := runCkptFlood(t, ropts, n, budget)
-					if err != nil {
-						t.Fatalf("resumed run: %v", err)
-					}
-
-					want := full[resume.name]
-					if res2 != want.res {
-						t.Errorf("Result diverged: resumed %+v, uninterrupted %+v", res2, want.res)
-					}
-					for v := 0; v < n; v++ {
-						if string(finals2[v]) != string(want.finals[v]) {
-							t.Errorf("node %d final state diverged", v)
-						}
-						// Stitch: killed-run transcript before the checkpoint
-						// step + resumed transcript = uninterrupted transcript.
-						var stitched []ckptEvent
-						for _, ev := range killedLogs[v] {
-							if ev.step < cut {
-								stitched = append(stitched, ev)
-							}
-						}
-						stitched = append(stitched, resumedLogs[v]...)
-						if len(stitched) != len(want.logs[v]) {
-							t.Fatalf("node %d: stitched transcript %d events, want %d", v, len(stitched), len(want.logs[v]))
-						}
-						for i := range stitched {
-							if stitched[i] != want.logs[v][i] {
-								t.Fatalf("node %d event %d diverged: %+v vs %+v", v, i, stitched[i], want.logs[v][i])
-							}
-						}
-					}
-				})
+	// Kill at each epoch boundary in turn: boundary 0 is the first
+	// topology change (the step-0 epoch is installed before the loop, so no
+	// checkpoint fires there).
+	for kill := 1; kill <= 4; kill++ {
+		name := fmt.Sprintf("capture=sequential/resume=sequential/kill=%d", kill)
+		t.Run(name, func(t *testing.T) {
+			faults := chaos.New()
+			faults.Arm("radio.checkpoint", kill-1, 1, errWorkerKilled)
+			var last *Checkpoint
+			opts := base
+			opts.Checkpoint = func(cp *Checkpoint) error {
+				// The fault fires before persisting — the kill boundary's
+				// checkpoint is lost, like a worker dying mid-append — so
+				// resume replays at least one epoch.
+				if err := faults.Check("radio.checkpoint"); err != nil {
+					return err
+				}
+				last = cp
+				return nil
 			}
-		}
+			_, killedLogs, _, err := runCkptFlood(t, opts, n, budget)
+			if !errors.Is(err, errWorkerKilled) {
+				t.Fatalf("killed run: err = %v, want %v", err, errWorkerKilled)
+			}
+			// Death at the first boundary persists nothing: resume
+			// degenerates to a from-scratch rerun (the job spec is the
+			// step-0 checkpoint), which determinism makes just as
+			// byte-identical.
+			cut := 0
+			ropts := base
+			if last != nil {
+				cut = last.Step
+				ropts.Resume = last
+			} else if kill != 1 {
+				t.Fatalf("no checkpoint persisted before kill %d", kill)
+			}
+			res2, resumedLogs, finals2, err := runCkptFlood(t, ropts, n, budget)
+			if err != nil {
+				t.Fatalf("resumed run: %v", err)
+			}
+
+			if res2 != wantRes {
+				t.Errorf("Result diverged: resumed %+v, uninterrupted %+v", res2, wantRes)
+			}
+			for v := 0; v < n; v++ {
+				if string(finals2[v]) != string(wantFinals[v]) {
+					t.Errorf("node %d final state diverged", v)
+				}
+				// Stitch: killed-run transcript before the checkpoint step +
+				// resumed transcript = uninterrupted transcript.
+				var stitched []ckptEvent
+				for _, ev := range killedLogs[v] {
+					if ev.step < cut {
+						stitched = append(stitched, ev)
+					}
+				}
+				stitched = append(stitched, resumedLogs[v]...)
+				if len(stitched) != len(wantLogs[v]) {
+					t.Fatalf("node %d: stitched transcript %d events, want %d", v, len(stitched), len(wantLogs[v]))
+				}
+				for i := range stitched {
+					if stitched[i] != wantLogs[v][i] {
+						t.Fatalf("node %d event %d diverged: %+v vs %+v", v, i, stitched[i], wantLogs[v][i])
+					}
+				}
+			}
+		})
 	}
 }
 

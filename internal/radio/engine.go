@@ -8,10 +8,10 @@ import (
 	"repro/internal/phy"
 )
 
-// engine is the step-loop state shared by the sequential and worker-pool
-// engines: the frozen CSR topology, the protocol instances, the physical-
-// layer reception model, and reusable scratch buffers sized once at
-// construction so the per-step loop allocates nothing. Under a dynamic
+// engine is the step-loop state of a run: the frozen CSR topology, the
+// protocol instances, the physical-layer reception model, and reusable
+// scratch buffers sized once at construction so the per-step loop
+// allocates nothing. Under a dynamic
 // topology (Options.Topology) csr is the snapshot of the current epoch and
 // epochSync swaps it at epoch boundaries (re-syncing the PHY model); the
 // scratch buffers are indexed by node and the node count is fixed for the
@@ -34,7 +34,7 @@ type engine struct {
 
 	payload  []Message    // payload[v]: message v transmits
 	hear     []Message    // hear[v]: message v receives (nil = silence)
-	txList   []int32      // this step's transmitters, ascending (sequential engine)
+	txList   []int32      // this step's transmitters, ascending
 	frontier phy.Frontier // this step's transmitter set, fed to Resolve
 	out      phy.Outcome  // this step's reception outcome, buffers reused
 
@@ -114,10 +114,10 @@ func (e *engine) fireProbe(step, active int, res Result, final bool) {
 // epochSync installs the topology in force at step when step crosses the
 // next epoch boundary, re-syncing the PHY model (geometric models refresh
 // their positions here), and reports whether a boundary was crossed — the
-// points where the engines capture checkpoints (Options.Checkpoint).
+// points where the engine captures checkpoints (Options.Checkpoint).
 // Between boundaries it is a single comparison, so the per-step delivery
 // cost stays amortized; the Topology query, the model re-sync, and any
-// allocation inside either happen once per epoch. Both engines call it at
+// allocation inside either happen once per epoch. The step loop calls it at
 // the top of the step, before the act phase, so the epoch's first step
 // already delivers over the new topology.
 func (e *engine) epochSync(step int) bool {
@@ -145,8 +145,7 @@ func (e *engine) epochSync(step int) bool {
 // permanently, and every remaining node is polled, with transmitters
 // recorded into the scratch arrays and appended to tx. It returns the
 // compacted active list, the extended transmitter list, and the number of
-// transmit actions. Shared by the sequential engine (whole node range) and
-// each worker-pool shard (its own range) so the two engines cannot drift.
+// transmit actions.
 func (e *engine) actScan(active []int32, step int, tx []int32) (activeOut, txOut []int32, transmits int) {
 	w := 0
 	for _, v := range active {
@@ -171,7 +170,7 @@ func (e *engine) actScan(active []int32, step int, tx []int32) (activeOut, txOut
 }
 
 // deliverScan hands each live node on the list its received message (or
-// silence). Shared by both engines, like actScan.
+// silence).
 func (e *engine) deliverScan(active []int32, step int) {
 	for _, v := range active {
 		if awake(&e.opts, int(v), step) {

@@ -1,15 +1,11 @@
 package radio_test
 
-// PHY-layer differentials: (1) the sequential and worker-pool engines must
-// stay transcript-identical under phy:sinr — including mobile SINR, where
-// positions change per epoch — for every shard count; (2) the unified
-// engine with phy.SINR in exact mode must reproduce the deleted
-// internal/sinr standalone loop decision for decision (reimplemented here,
-// verbatim, as the test reference).
+// PHY-layer differential: the engine with phy.SINR in exact mode must
+// reproduce the deleted internal/sinr standalone loop decision for decision
+// (reimplemented here, verbatim, as the test reference).
 
 import (
 	"math"
-	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -50,129 +46,6 @@ func (g *sinrGossipNode) Done() bool { return g.step >= g.budget }
 func gossipFactory(budget int) radio.Factory {
 	return func(info radio.NodeInfo) radio.Protocol {
 		return &sinrGossipNode{rng: info.RNG, has: info.Index == 0, budget: budget}
-	}
-}
-
-// TestSINRSeqPoolTranscriptIdentical pins the sequential≡pool contract
-// under phy:sinr at Shards ∈ {1, 4, GOMAXPROCS}: interference accumulates
-// in fixed transmitter-index order however the act phase is sharded, so
-// the digests and Results must be bit-identical. Covered for a static
-// deployment at the default cutoff and for a mobile deployment (positions
-// per epoch through dyn) in exact mode.
-func TestSINRSeqPoolTranscriptIdentical(t *testing.T) {
-	const steps = 120
-	type scenario struct {
-		name  string
-		setup func(t *testing.T) radio.Options
-	}
-	static := func(t *testing.T) radio.Options {
-		_, pts, err := gen.ByNameWithPoints("phy:sinr", 64, 17)
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := phy.NewSINR(pts, phy.SINRParams{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return radio.Options{MaxSteps: steps, Seed: 42, PHY: model}
-	}
-	mobile := func(t *testing.T) radio.Options {
-		sched, err := gen.MobileUDG(64, 8, 12, 0.6, xrand.New(9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		model, err := phy.NewMobileSINR(sched, phy.SINRParams{CutoffFactor: math.Inf(1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return radio.Options{MaxSteps: steps, Seed: 42, Topology: sched, PHY: model}
-	}
-	for _, sc := range []scenario{{"static", static}, {"mobile", mobile}} {
-		t.Run(sc.name, func(t *testing.T) {
-			run := func(concurrent bool, shards int) (uint64, radio.Result) {
-				opts := sc.setup(t) // fresh model per run: instances are stateful
-				opts.Concurrent = concurrent
-				opts.Shards = shards
-				h := trace.NewHasher()
-				g := gen.Grid(8, 8) // 64 nodes; the SINR model ignores its edges
-				res, err := radio.Run(g, h.Wrap(gossipFactory(steps)), opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return h.Sum(), res
-			}
-			wantDigest, wantRes := run(false, 0)
-			for _, shards := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-				gotDigest, gotRes := run(true, shards)
-				if gotDigest != wantDigest {
-					t.Errorf("shards=%d: pool digest %#x differs from sequential %#x", shards, gotDigest, wantDigest)
-				}
-				if gotRes != wantRes {
-					t.Errorf("shards=%d: pool result %+v differs from sequential %+v", shards, gotRes, wantRes)
-				}
-			}
-		})
-	}
-}
-
-// chatterNode transmits its own index with probability 1/32 — enough
-// concurrent transmitters at n = 65536 (~2048 per step) to exercise every
-// bucketed-kernel path at scale, with sender-identifying payloads so a
-// single wrong-From delivery anywhere changes the transcript digest.
-type chatterNode struct {
-	rng    *xrand.RNG
-	id     int64
-	step   int
-	budget int
-}
-
-func (c *chatterNode) Act(step int) radio.Action {
-	if c.rng.Bernoulli(1.0 / 32) {
-		return radio.Transmit(c.id)
-	}
-	return radio.Listen()
-}
-func (c *chatterNode) Deliver(step int, msg radio.Message) { c.step = step + 1 }
-func (c *chatterNode) Done() bool                          { return c.step >= c.budget }
-
-// TestSINRSeqPoolLargeDeployment is the sequential≡pool differential at the
-// bench's large scale: n = 65536 under the default cutoff, where the grid
-// holds tens of thousands of cells and per-step frontiers run to ~2048
-// transmitters. Divergence modes that only appear at scale — shard-boundary
-// ordering, candidate-arena overflow, bitset word sharing — land here.
-func TestSINRSeqPoolLargeDeployment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-deployment differential: skipped in -short")
-	}
-	const n, steps = 65536, 4
-	side := math.Sqrt(float64(n) * math.Pi / 8)
-	pts := gen.UniformPoints(n, 2, side, xrand.New(21))
-	factory := func(info radio.NodeInfo) radio.Protocol {
-		return &chatterNode{rng: info.RNG, id: int64(info.Index), budget: steps}
-	}
-	run := func(concurrent bool, shards int) (uint64, radio.Result) {
-		model, err := phy.NewSINR(pts, phy.SINRParams{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := trace.NewHasher()
-		res, err := radio.Run(gen.Path(n), h.Wrap(factory), radio.Options{
-			MaxSteps: steps, Seed: 7, Concurrent: concurrent, Shards: shards, PHY: model,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return h.Sum(), res
-	}
-	wantDigest, wantRes := run(false, 0)
-	for _, shards := range []int{2, 7} {
-		gotDigest, gotRes := run(true, shards)
-		if gotDigest != wantDigest {
-			t.Errorf("shards=%d: pool digest %#x differs from sequential %#x", shards, gotDigest, wantDigest)
-		}
-		if gotRes != wantRes {
-			t.Errorf("shards=%d: pool result %+v differs from sequential %+v", shards, gotRes, wantRes)
-		}
 	}
 }
 

@@ -25,13 +25,12 @@ func probeWorkload(t *testing.T, steps int) (*dyn.Schedule, Factory, Options) {
 	return sched, factory, Options{MaxSteps: steps, Seed: 7, Topology: sched}
 }
 
-func runProbed(t *testing.T, concurrent bool) (Result, []ProbeSample) {
+func runProbed(t *testing.T) (Result, []ProbeSample) {
 	t.Helper()
 	const steps = 40
 	sched, factory, opts := probeWorkload(t, steps)
 	g := gen.Grid(8, 8)
 	var samples []ProbeSample
-	opts.Concurrent = concurrent
 	opts.Probe = func(s *ProbeSample) { samples = append(samples, *s) } // copy: sample is reused
 	res, err := Run(g, factory, opts)
 	if err != nil {
@@ -41,57 +40,52 @@ func runProbed(t *testing.T, concurrent bool) (Result, []ProbeSample) {
 	return res, samples
 }
 
-// TestProbeFiresAtBoundariesAndFinal asserts the probe contract on both
-// engines: one sample per epoch boundary plus one final sample, cumulative
-// counters matching Result, windows covering the run exactly.
+// TestProbeFiresAtBoundariesAndFinal asserts the probe contract: one
+// sample per epoch boundary plus one final sample, cumulative counters
+// matching Result, windows covering the run exactly.
 func TestProbeFiresAtBoundariesAndFinal(t *testing.T) {
-	for _, tc := range []struct {
-		name       string
-		concurrent bool
-	}{{"sequential", false}, {"pool", true}} {
-		t.Run(tc.name, func(t *testing.T) {
-			res, samples := runProbed(t, tc.concurrent)
-			// Boundaries at 8,16,24,32 plus the final sample at res.Steps.
-			if len(samples) != 5 {
-				t.Fatalf("got %d samples, want 5 (4 boundaries + final)", len(samples))
+	t.Run("sequential", func(t *testing.T) {
+		res, samples := runProbed(t)
+		// Boundaries at 8,16,24,32 plus the final sample at res.Steps.
+		if len(samples) != 5 {
+			t.Fatalf("got %d samples, want 5 (4 boundaries + final)", len(samples))
+		}
+		for i, s := range samples[:4] {
+			wantStep := (i + 1) * 8
+			if s.Step != wantStep || s.Final {
+				t.Fatalf("sample %d: step=%d final=%v, want boundary step %d", i, s.Step, s.Final, wantStep)
 			}
-			for i, s := range samples[:4] {
-				wantStep := (i + 1) * 8
-				if s.Step != wantStep || s.Final {
-					t.Fatalf("sample %d: step=%d final=%v, want boundary step %d", i, s.Step, s.Final, wantStep)
-				}
-				if s.WindowSteps != 8 {
-					t.Fatalf("sample %d: window=%d, want 8", i, s.WindowSteps)
-				}
-				if s.Active != 64 {
-					t.Fatalf("sample %d: active=%d, want 64 (nobody retires mid-run)", i, s.Active)
-				}
+			if s.WindowSteps != 8 {
+				t.Fatalf("sample %d: window=%d, want 8", i, s.WindowSteps)
 			}
-			last := samples[4]
-			if !last.Final || last.Step != res.Steps {
-				t.Fatalf("last sample: step=%d final=%v, want final at %d", last.Step, last.Final, res.Steps)
+			if s.Active != 64 {
+				t.Fatalf("sample %d: active=%d, want 64 (nobody retires mid-run)", i, s.Active)
 			}
-			if last.Transmissions != res.Transmissions || last.Deliveries != res.Deliveries || last.Collisions != res.Collisions {
-				t.Fatalf("final sample counters %+v do not match result %+v", last, res)
-			}
-			// Windows tile the run: 4×8 boundary windows + the final window.
-			total := 0
-			for _, s := range samples {
-				total += s.WindowSteps
-			}
-			if total != res.Steps {
-				t.Fatalf("windows sum to %d steps, run had %d", total, res.Steps)
-			}
-			// AvgFrontier over all windows reconstructs total transmissions.
-			var tx float64
-			for _, s := range samples {
-				tx += s.AvgFrontier * float64(s.WindowSteps)
-			}
-			if math.Abs(tx-float64(res.Transmissions)) > 1e-6 {
-				t.Fatalf("AvgFrontier windows reconstruct %v transmissions, result has %d", tx, res.Transmissions)
-			}
-		})
-	}
+		}
+		last := samples[4]
+		if !last.Final || last.Step != res.Steps {
+			t.Fatalf("last sample: step=%d final=%v, want final at %d", last.Step, last.Final, res.Steps)
+		}
+		if last.Transmissions != res.Transmissions || last.Deliveries != res.Deliveries || last.Collisions != res.Collisions {
+			t.Fatalf("final sample counters %+v do not match result %+v", last, res)
+		}
+		// Windows tile the run: 4×8 boundary windows + the final window.
+		total := 0
+		for _, s := range samples {
+			total += s.WindowSteps
+		}
+		if total != res.Steps {
+			t.Fatalf("windows sum to %d steps, run had %d", total, res.Steps)
+		}
+		// AvgFrontier over all windows reconstructs total transmissions.
+		var tx float64
+		for _, s := range samples {
+			tx += s.AvgFrontier * float64(s.WindowSteps)
+		}
+		if math.Abs(tx-float64(res.Transmissions)) > 1e-6 {
+			t.Fatalf("AvgFrontier windows reconstruct %v transmissions, result has %d", tx, res.Transmissions)
+		}
+	})
 }
 
 // TestProbeDoesNotChangeTranscript: arming the probe must not perturb the

@@ -11,21 +11,19 @@
 // the graph, its own degree, or its neighbors. All nodes wake up in step 0
 // (synchronous wake-up).
 //
-// Two engines with identical semantics are provided: a fast sequential
-// engine whose step loop performs no heap allocations, and a sharded
-// worker-pool engine where a small fixed pool of workers (GOMAXPROCS by
-// default, see Options.Shards) each own a contiguous node range with two
-// phase barriers per time-step. Both exploit
-// transmission sparsity: per-step delivery cost is O(#transmitters + the
-// listeners they can reach), not O(n), and nodes whose Done returns true are
-// retired from a compacting active list and never polled again. Reception
-// semantics — who decodes what given the step's transmitter set — are owned
-// by a pluggable physical-layer model (internal/phy, Options.PHY): the
-// paper's graph collision rule is the zero-overhead default, and the same
-// engines run the collision-detection variant and geometric SINR physics. A
-// differential test asserts the engines produce identical transcripts for
-// identical seeds under every model; see DESIGN.md §3/§7 for the
-// architecture and the determinism contract.
+// The engine is sequential and its step loop performs no heap allocations.
+// It exploits transmission sparsity: per-step delivery cost is
+// O(#transmitters + the listeners they can reach), not O(n), and nodes whose
+// Done returns true are retired from a compacting active list and never
+// polled again. Reception semantics — who decodes what given the step's
+// transmitter set — are owned by a pluggable physical-layer model
+// (internal/phy, Options.PHY): the paper's graph collision rule is the
+// zero-overhead default, and the same engine runs the collision-detection
+// variant and geometric SINR physics. Runs are deterministic: the same
+// inputs and seed give the same transcript, which golden digests and
+// dense reference loops in the tests pin under every model. Parallelism
+// lives across runs (trials, service requests), not inside one; see
+// DESIGN.md §3/§7 for the architecture and the determinism contract.
 package radio
 
 import (
@@ -41,13 +39,13 @@ import (
 // for Compete, which implementations provide themselves).
 type Message any
 
-// Collision is the marker delivered to listeners with two or more
-// transmitting neighbors when Options.CollisionDetection is on. The paper's
-// algorithms never rely on it (its model is without collision detection,
-// §1.1); it exists for the §1.5.2 comparisons of what CD buys.
 type collisionMarker struct{}
 
-// Collision is the sentinel value (see Options.CollisionDetection).
+// Collision is the marker delivered to listeners with two or more
+// transmitting neighbors under a collision-detection model
+// (phy.NewCollisionCD). The paper's algorithms never rely on it (its model
+// is without collision detection, §1.1); it exists for the §1.5.2
+// comparisons of what CD buys.
 var Collision Message = collisionMarker{}
 
 // IsCollision reports whether msg is the collision marker.
@@ -76,7 +74,7 @@ func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 // live node (with the received message, or nil when nothing was heard —
 // including always for transmitters). A node whose Done returns true before
 // a step neither transmits nor receives for the remainder of the run; the
-// engines retire such a node permanently, so Done must be monotone (once
+// engine retires such a node permanently, so Done must be monotone (once
 // true, always true) and side-effect free.
 type Protocol interface {
 	Act(step int) Action
@@ -117,14 +115,6 @@ type Options struct {
 	// replaced by the true graph values (the model allows exact knowledge;
 	// protocols must tolerate upper estimates, which tests exercise).
 	N, D, Alpha int
-	// Concurrent selects the sharded worker-pool engine.
-	Concurrent bool
-	// Shards, when positive, sets the concurrent engine's worker count
-	// directly (capped at n) — a testing/tuning knob that may oversubscribe
-	// the CPUs. Zero selects min(GOMAXPROCS, n). Each worker owns one
-	// contiguous node range; the transcript is independent of the shard
-	// count (differential tests exercise several).
-	Shards int
 	// OnStep, when non-nil, observes each step's statistics.
 	OnStep func(StepStats)
 	// WakeAt, when non-nil (length n), staggers wake-up: node v is dormant
@@ -133,9 +123,9 @@ type Options struct {
 	// model (§1.1). Experiment E15 uses this to show which guarantees
 	// depend on the synchronous-wake-up assumption.
 	WakeAt []int
-	// Topology, when non-nil, makes the run dynamic: the engines consult it
+	// Topology, when non-nil, makes the run dynamic: the engine consults it
 	// at epoch boundaries (and only there — between boundaries the step
-	// loop stays zero-alloc) and deliver over the epoch's frozen topology
+	// loop stays zero-alloc) and delivers over the epoch's frozen topology
 	// instead of g's. Every epoch must keep the node count equal to g.N();
 	// dynamics are modeled as edges appearing and disappearing over a fixed
 	// node set (a churned-out node is one with no incident edges — it keeps
@@ -171,13 +161,12 @@ type Options struct {
 	// Resume.Step. The caller must supply the same graph, factory, seed,
 	// topology, and PHY configuration the checkpoint was captured under;
 	// the final Result is then byte-identical to the uninterrupted run's.
-	// Checkpoints are engine-portable (sequential ↔ worker pool).
 	Resume *Checkpoint
 	// Probe, when non-nil, receives an advisory load sample at every
 	// topology epoch boundary (immediately after any Checkpoint/Snapshot
 	// capture) and once more after the run's final step. Like the other
 	// boundary hooks it costs the step loop nothing when nil and nothing
-	// but the sample fill when set — the engines reuse one ProbeSample, so
+	// but the sample fill when set — the engine reuses one ProbeSample, so
 	// arming it keeps the zero-alloc step-loop contract (pinned by the
 	// alloc regression tests). The sample is valid only for the duration
 	// of the call; observers must copy out what they keep. Static runs
@@ -186,40 +175,32 @@ type Options struct {
 	// engine state (DESIGN.md §10).
 	Probe func(*ProbeSample)
 	// PHY selects the physical-layer reception model (DESIGN.md §7). Nil
-	// selects phy.NewCollision(), the paper's graph model (§1.1) — or
-	// phy.NewCollisionCD() when the legacy CollisionDetection flag is set.
+	// selects phy.NewCollision(), the paper's graph model (§1.1);
+	// phy.NewCollisionCD() is the collision-detection variant of §1.5.2.
 	// A Model instance is stateful per run and must not be shared between
 	// concurrent runs.
 	PHY phy.Model
-	// CollisionDetection, when true, delivers the Collision marker to
-	// listeners with ≥2 transmitting neighbors instead of silence — the
-	// stronger model of §1.5.2.
-	//
-	// Deprecated: the flag predates the pluggable PHY layer and survives as
-	// a shorthand for PHY: phy.NewCollisionCD(). Setting both is an error.
-	CollisionDetection bool
 }
 
 // Topology is the dynamic-topology hook through which internal/dyn's epoch
 // schedules — node churn, edge faults, partition/heal, waypoint mobility —
-// reach the engines (DESIGN.md §5). Implementations must be pure:
+// reach the engine (DESIGN.md §5). Implementations must be pure:
 // EpochAt(step) depends on step alone, is safe for concurrent callers, and
 // returns the same snapshot every time it is asked about the same step —
-// the engines rely on this for run-to-run reproducibility and for the
-// sequential/worker-pool transcript equivalence. dyn.Schedule is the
-// canonical implementation.
+// the engine relies on this for run-to-run reproducibility and for
+// checkpoint/resume. dyn.Schedule is the canonical implementation.
 type Topology interface {
 	// EpochAt returns the frozen topology in force at step and the first
 	// step strictly after it at which the topology changes again
 	// (nextChange < 0 when the topology is static from step on). The
-	// engines call it once per epoch boundary, never per step.
+	// engine calls it once per epoch boundary, never per step.
 	EpochAt(step int) (csr *graph.CSR, nextChange int)
 }
 
 // ProbeSample is the advisory load snapshot delivered to Options.Probe at
 // epoch boundaries and once after the final step. Counter fields are
 // cumulative over the run; rate fields cover the window since the previous
-// sample. The engines reuse one sample across fires — copy out anything
+// sample. The engine reuses one sample across fires — copy out anything
 // kept past the callback.
 type ProbeSample struct {
 	// Step is the boundary step (or, for the final sample, the number of
@@ -296,9 +277,9 @@ type staticCSR struct{ csr *graph.CSR }
 // EpochAt implements Topology.
 func (s staticCSR) EpochAt(step int) (*graph.CSR, int) { return s.csr, -1 }
 
-// run is the engine dispatch shared by Run and RunCSR. g is nil on the
-// graph-free path — the engines touch it only through newEngine, which
-// freezes it solely when no Topology is installed.
+// run validates the options shared by Run and RunCSR and starts the engine.
+// g is nil on the graph-free path — the engine touches it only through
+// newEngine, which freezes it solely when no Topology is installed.
 func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory, opts Options) (Result, error) {
 	if opts.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("radio: MaxSteps must be positive, got %d", opts.MaxSteps)
@@ -320,13 +301,7 @@ func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory,
 		}
 	}
 	if opts.PHY == nil {
-		if opts.CollisionDetection {
-			opts.PHY = phy.NewCollisionCD()
-		} else {
-			opts.PHY = phy.NewCollision()
-		}
-	} else if opts.CollisionDetection {
-		return Result{}, fmt.Errorf("radio: CollisionDetection is folded into the PHY model; pass phy.NewCollisionCD() as Options.PHY instead of setting both")
+		opts.PHY = phy.NewCollision()
 	}
 	if opts.Checkpoint != nil || opts.Snapshot != nil || opts.Resume != nil {
 		if err := requireSnapshotters(nodes); err != nil {
@@ -337,9 +312,6 @@ func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory,
 		if cp.Step < 0 || cp.Step >= opts.MaxSteps {
 			return Result{}, fmt.Errorf("radio: resume step %d outside [0, MaxSteps=%d)", cp.Step, opts.MaxSteps)
 		}
-	}
-	if opts.Concurrent {
-		return runPool(g, nodes, opts)
 	}
 	return runSequential(g, nodes, opts)
 }

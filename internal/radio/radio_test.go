@@ -239,41 +239,6 @@ func (r *randomNode) Deliver(step int, msg Message) {
 
 func (r *randomNode) Done() bool { return r.step >= r.until }
 
-func TestSequentialAndConcurrentEnginesMatch(t *testing.T) {
-	graphs := map[string]*graph.Graph{
-		"path":   gen.Path(40),
-		"clique": gen.Clique(25),
-		"grid":   gen.Grid(6, 7),
-	}
-	for name, g := range graphs {
-		var seqHash, conHash []uint64
-		for _, concurrent := range []bool{false, true} {
-			hashes := make([]uint64, g.N())
-			factory := func(info NodeInfo) Protocol {
-				rn := &randomNode{info: info, until: 50}
-				return &hashCapture{randomNode: rn, out: &hashes[info.Index]}
-			}
-			res, err := Run(g, factory, Options{MaxSteps: 51, Seed: 77, Concurrent: concurrent})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.AllDone {
-				t.Fatalf("%s: not done", name)
-			}
-			if concurrent {
-				conHash = hashes
-			} else {
-				seqHash = hashes
-			}
-		}
-		for v := range seqHash {
-			if seqHash[v] != conHash[v] {
-				t.Fatalf("%s: node %d transcript differs between engines", name, v)
-			}
-		}
-	}
-}
-
 // hashCapture copies the node's transcript hash out when it finishes.
 type hashCapture struct {
 	*randomNode

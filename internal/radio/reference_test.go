@@ -166,27 +166,127 @@ type transcript struct {
 	res    Result
 }
 
-// runTranscript executes one run with hash-recording random protocols.
-func runTranscript(t *testing.T, g *graph.Graph, opts Options, until int) transcript {
+// referenceGraphRun is the dense reference loop for the graph models, the
+// independent side of TestEnginesTranscriptIdentical, written after
+// referenceSINRRun (phy_differential_test.go). Each step every awake,
+// not-yet-done node acts, in index order; each listener's transmitting
+// neighbors are counted by brute force over the transmitter set; every
+// awake live node is then delivered the message (exactly one transmitting
+// neighbor), silence, or — with cd — the Collision marker (two or more).
+// Stats count every reached listener, retired and dormant nodes included.
+// It shares nothing with the engine but the Protocol interface and the
+// per-node RNG split: no active list, frontier, PHY model or scratch reuse.
+func referenceGraphRun(g *graph.Graph, factory Factory, opts Options, cd bool) Result {
+	n := g.N()
+	root := xrand.New(opts.Seed)
+	nodes := make([]Protocol, n)
+	for v := range nodes {
+		nodes[v] = factory(NodeInfo{Index: v, N: opts.N, D: opts.D, Alpha: opts.Alpha, RNG: root.Split(uint64(v))})
+	}
+	awake := func(v, step int) bool { return opts.WakeAt == nil || step >= opts.WakeAt[v] }
+	retired := make([]bool, n)
+	transmitting := make([]bool, n)
+	payload := make([]Message, n)
+	hear := make([]Message, n)
+	var txIdx []int
+	var res Result
+	for step := 0; step < opts.MaxSteps; step++ {
+		st := StepStats{Step: step}
+		live := false
+		txIdx = txIdx[:0]
+		for v := 0; v < n; v++ {
+			transmitting[v], payload[v], hear[v] = false, nil, nil
+			if retired[v] {
+				continue
+			}
+			if !awake(v, step) {
+				live = true // dormant nodes keep the run alive
+				continue
+			}
+			if nodes[v].Done() {
+				retired[v] = true
+				continue
+			}
+			live = true
+			if a := nodes[v].Act(step); a.Transmit {
+				transmitting[v], payload[v] = true, a.Msg
+				txIdx = append(txIdx, v)
+				st.Transmits++
+			}
+		}
+		if !live {
+			res.AllDone = true
+			break
+		}
+		for v := 0; v < n; v++ {
+			if transmitting[v] {
+				continue
+			}
+			count, from := 0, -1
+			for _, u := range txIdx {
+				if g.HasEdge(u, v) {
+					count++
+					from = u
+				}
+			}
+			switch {
+			case count == 1:
+				hear[v] = payload[from]
+				st.Deliveries++
+			case count >= 2:
+				if cd {
+					hear[v] = Collision
+				}
+				st.Collisions++
+			}
+		}
+		for v := 0; v < n; v++ {
+			if !retired[v] && awake(v, step) {
+				nodes[v].Deliver(step, hear[v])
+			}
+		}
+		res.Steps = step + 1
+		res.Transmissions += int64(st.Transmits)
+		res.Deliveries += int64(st.Deliveries)
+		res.Collisions += int64(st.Collisions)
+		if opts.OnStep != nil {
+			opts.OnStep(st)
+		}
+	}
+	if !res.AllDone {
+		res.AllDone = true
+		for _, p := range nodes {
+			if !p.Done() {
+				res.AllDone = false
+				break
+			}
+		}
+	}
+	return res
+}
+
+// runTranscript executes one run with hash-recording random protocols
+// through run — the engine or the reference loop.
+func runTranscript(t *testing.T, n int, opts Options, until int, run func(Factory, Options) (Result, error)) transcript {
 	t.Helper()
-	hashes := make([]uint64, g.N())
+	hashes := make([]uint64, n)
 	factory := func(info NodeInfo) Protocol {
 		rn := &randomNode{info: info, until: until}
 		return &hashCapture{randomNode: rn, out: &hashes[info.Index]}
 	}
 	var steps []StepStats
 	opts.OnStep = func(s StepStats) { steps = append(steps, s) }
-	res, err := Run(g, factory, opts)
+	res, err := run(factory, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return transcript{hashes: hashes, steps: steps, res: res}
 }
 
-// TestEnginesTranscriptIdentical is the engine differential test: across
-// random graphs, seeds, shard counts, collision-detection settings and
-// staggered wake-ups, the sequential and worker-pool engines must produce
-// identical per-node transcripts, per-step stats, and results.
+// TestEnginesTranscriptIdentical is the whole-run engine differential:
+// across random graphs, seeds, collision-detection settings and staggered
+// wake-ups, the engine must produce the same per-node transcripts, per-step
+// stats, and Result as the dense reference loop.
 func TestEnginesTranscriptIdentical(t *testing.T) {
 	rng := xrand.New(99)
 	for trial := 0; trial < 25; trial++ {
@@ -200,10 +300,12 @@ func TestEnginesTranscriptIdentical(t *testing.T) {
 				}
 			}
 		}
-		opts := Options{
-			MaxSteps:           40,
-			Seed:               rng.Uint64(),
-			CollisionDetection: trial%2 == 0,
+		cd := trial%2 == 0
+		// Explicit estimates keep the engine's diameter estimate out of
+		// the comparison: the reference hands nodes opts' values verbatim.
+		opts := Options{MaxSteps: 40, Seed: rng.Uint64(), N: n, D: n, Alpha: n}
+		if cd {
+			opts.PHY = phy.NewCollisionCD()
 		}
 		if trial%3 == 0 {
 			wake := make([]int, n)
@@ -212,47 +314,27 @@ func TestEnginesTranscriptIdentical(t *testing.T) {
 			}
 			opts.WakeAt = wake
 		}
-		want := runTranscript(t, g, opts, 30)
-		for _, shards := range []int{1, 2, 4, 7} {
-			o := opts
-			o.Concurrent = true
-			o.Shards = shards
-			got := runTranscript(t, g, o, 30)
-			if got.res != want.res {
-				t.Fatalf("trial %d shards=%d: result %+v vs sequential %+v",
-					trial, shards, got.res, want.res)
-			}
-			if len(got.steps) != len(want.steps) {
-				t.Fatalf("trial %d shards=%d: %d step records vs %d",
-					trial, shards, len(got.steps), len(want.steps))
-			}
-			for i := range want.steps {
-				if got.steps[i] != want.steps[i] {
-					t.Fatalf("trial %d shards=%d: step %d stats %+v vs %+v",
-						trial, shards, i, got.steps[i], want.steps[i])
-				}
-			}
-			for v := range want.hashes {
-				if got.hashes[v] != want.hashes[v] {
-					t.Fatalf("trial %d shards=%d: node %d transcript differs",
-						trial, shards, v)
-				}
+		got := runTranscript(t, n, opts, 30, func(f Factory, o Options) (Result, error) {
+			return Run(g, f, o)
+		})
+		want := runTranscript(t, n, opts, 30, func(f Factory, o Options) (Result, error) {
+			return referenceGraphRun(g, f, o, cd), nil
+		})
+		if got.res != want.res {
+			t.Fatalf("trial %d: result %+v vs reference %+v", trial, got.res, want.res)
+		}
+		if len(got.steps) != len(want.steps) {
+			t.Fatalf("trial %d: %d step records vs %d", trial, len(got.steps), len(want.steps))
+		}
+		for i := range want.steps {
+			if got.steps[i] != want.steps[i] {
+				t.Fatalf("trial %d: step %d stats %+v vs reference %+v", trial, i, got.steps[i], want.steps[i])
 			}
 		}
-	}
-}
-
-// TestPoolShardCountInvariance pins the worker-count resolution rule.
-func TestPoolShardCountInvariance(t *testing.T) {
-	opts := &Options{}
-	if w := workerCount(opts, 1000); w < 1 {
-		t.Fatalf("default worker count %d", w)
-	}
-	opts.Shards = 4
-	if w := workerCount(opts, 1000); w != 4 {
-		t.Fatalf("explicit shards ignored: %d", w)
-	}
-	if w := workerCount(opts, 2); w != 2 {
-		t.Fatalf("worker count must not exceed n: %d", w)
+		for v := range want.hashes {
+			if got.hashes[v] != want.hashes[v] {
+				t.Fatalf("trial %d: node %d transcript differs from the reference", trial, v)
+			}
+		}
 	}
 }

@@ -90,32 +90,3 @@ func TestDormantNodeKeepsRunAlive(t *testing.T) {
 		t.Fatalf("run ended at %d, before the late waker ran its 3 local steps", res.Steps)
 	}
 }
-
-func TestWakeAtBothEnginesAgree(t *testing.T) {
-	g := gen.Grid(4, 5)
-	wake := make([]int, g.N())
-	for v := range wake {
-		wake[v] = (v * 3) % 7
-	}
-	var hashes [2][]uint64
-	for i, concurrent := range []bool{false, true} {
-		hs := make([]uint64, g.N())
-		factory := func(info NodeInfo) Protocol {
-			rn := &randomNode{info: info, until: 30}
-			return &hashCapture{randomNode: rn, out: &hs[info.Index]}
-		}
-		res, err := Run(g, factory, Options{MaxSteps: 60, Seed: 5, Concurrent: concurrent, WakeAt: wake})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.AllDone {
-			t.Fatal("incomplete")
-		}
-		hashes[i] = hs
-	}
-	for v := range hashes[0] {
-		if hashes[0][v] != hashes[1][v] {
-			t.Fatalf("engines diverge at node %d under staggered wake-up", v)
-		}
-	}
-}

@@ -366,6 +366,64 @@ func TestServiceSimulateCtxDeadline(t *testing.T) {
 	}
 }
 
+// SubmitJob consults the durable tier before queueing, like Simulate: after
+// a restart empties the memory cache, a previously computed spec completes
+// at submit time as a cache hit — even with the only worker busy and the
+// queue full — without executing, and the content-addressed endpoint serves
+// the first life's bytes.
+func TestServiceSubmitJobDurableHitSkipsQueue(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Workers: 1, QueueDepth: 1, CacheEntries: 8, DataDir: dir}
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 9}
+	want, hash, _, err := s.Simulate(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	s2, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	running := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	s2.testHookExecuting = func(Spec) {
+		once.Do(func() { close(running) })
+		<-release
+	}
+	defer func() {
+		close(release)
+		s2.Close()
+	}()
+	if _, err := s2.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	<-running // the only worker is now blocked inside job 1
+	if _, err := s2.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}); err != nil {
+		t.Fatal(err) // fills the queue
+	}
+	execs := s2.Stats().Executions
+	v, err := s2.SubmitJob(sp)
+	if err != nil {
+		t.Fatalf("durable spec with a full queue: %v, want an immediate hit", err)
+	}
+	if v.State != JobDone || !v.CacheHit {
+		t.Fatalf("durable spec job %+v, want done with cache_hit", v)
+	}
+	if got := s2.Stats().Executions; got != execs {
+		t.Fatalf("executions %d -> %d, want no new execution", execs, got)
+	}
+	got, ok := s2.ResultByHash(hash)
+	if !ok || !bytes.Equal(got, want) {
+		t.Fatalf("ResultByHash: found=%v identical=%v, want the first life's bytes", ok, bytes.Equal(got, want))
+	}
+}
+
 // Corrupt durable entries degrade to recomputation through the service: the
 // quarantine counter moves and the response is byte-identical.
 func TestServiceCorruptDurableEntryRecomputed(t *testing.T) {

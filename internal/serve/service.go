@@ -632,7 +632,8 @@ func (s *Service) onProbe(trial int, smp *radio.ProbeSample) {
 }
 
 // SubmitJob is the async path: canonicalize, register and journal a job,
-// and either satisfy it from the cache immediately or enqueue it.
+// and either satisfy it from the cache or the durable store immediately or
+// enqueue it.
 // ErrQueueFull signals backpressure; the caller should retry later or fall
 // back to the sync endpoint.
 func (s *Service) SubmitJob(raw Spec) (JobView, error) {
@@ -649,7 +650,16 @@ func (s *Service) SubmitJobCtx(ctx context.Context, raw Spec) (JobView, error) {
 		return JobView{}, err
 	}
 	hash := sp.Hash()
+	// The same two tiers as simulate, so a result that is on disk but not
+	// in memory completes the job here instead of queueing it behind a
+	// worker slot. The store read happens before s.mu is taken.
 	_, cached := s.cache.Get(hash)
+	if !cached {
+		if b, ok := s.storeGet(hash); ok {
+			s.cache.Put(hash, b)
+			cached = true
+		}
+	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

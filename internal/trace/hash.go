@@ -4,12 +4,11 @@ package trace
 // radio.Factory so that every node's (nodeID, step, action/deliver) event
 // stream is folded into an FNV-1a hash. The per-node streams are combined
 // with a commutative mix, so the digest depends only on each node's own
-// call sequence — exactly what the engines' determinism contract
-// (DESIGN.md §3) promises to preserve — and not on how the engines
-// interleave calls across nodes. The same protocol run on the sequential
-// and the worker-pool engine therefore produces the same digest, and any
-// future engine change that silently alters protocol-visible semantics
-// changes it.
+// call sequence — exactly what the engine's determinism contract
+// (DESIGN.md §3) promises to preserve — and not on how calls interleave
+// across nodes. A refactor of the engine's loop order therefore keeps the
+// digest, and any future engine change that silently alters
+// protocol-visible semantics changes it.
 
 import (
 	"sync"
@@ -118,8 +117,9 @@ func (n *hashNode) Act(step int) radio.Action {
 
 func (n *hashNode) Deliver(step int, msg radio.Message) {
 	// Classify the delivery: silence, a real message, or the collision
-	// marker (CollisionDetection runs only). Payload bytes are protocol-
-	// defined `any` values and are deliberately not hashed.
+	// marker (collision-detection models only, phy.NewCollisionCD).
+	// Payload bytes are protocol-defined `any` values and are deliberately
+	// not hashed.
 	kind := uint64(0)
 	switch {
 	case msg == nil:
