@@ -142,3 +142,45 @@ func TestBenchBaselineRequiresEngineBench(t *testing.T) {
 		t.Fatal("want error when -bench-baseline is given without -engine-bench")
 	}
 }
+
+// TestCheckObsOverheadMinOfPairs pins the _obs gate's statistic: a noisy
+// first pair alone does not fail it, a cost that shows in every pair does,
+// and the pairs are measured interleaved, alternating which side goes
+// first.
+func TestCheckObsOverheadMinOfPairs(t *testing.T) {
+	seq := func(ns map[string][]float64, calls *[]string) func(string) (float64, error) {
+		return func(name string) (float64, error) {
+			*calls = append(*calls, name)
+			v := ns[name][0]
+			ns[name] = ns[name][1:]
+			return v, nil
+		}
+	}
+	var log bytes.Buffer
+	// The report's pair reads +20% (a noise spike); the re-measured pairs
+	// are within 1%, so the minimum passes.
+	var calls []string
+	noisy := map[string][]float64{"x": {1010, 1000, 1005, 1002}, "x_obs": {1008, 1003, 1001, 1009}}
+	if err := checkObsOverhead(report("x", 1000.0, "x_obs", 1200.0), seq(noisy, &calls), &log); err != nil {
+		t.Fatalf("noise spike failed the gate: %v", err)
+	}
+	if len(calls) != 2*(obsOverheadPairs-1) {
+		t.Fatalf("%d re-measurements, want %d", len(calls), 2*(obsOverheadPairs-1))
+	}
+	for i := 0; i+1 < len(calls); i += 2 {
+		if calls[i] == calls[i+1] || (i >= 2 && calls[i] == calls[i-2]) {
+			t.Fatalf("pairs not interleaved in alternating order: %v", calls)
+		}
+	}
+	// A real 5% probe cost shows in every pair and fails.
+	calls = nil
+	leaky := map[string][]float64{"x": {1000, 1000, 1000, 1000}, "x_obs": {1050, 1050, 1050, 1050}}
+	if err := checkObsOverhead(report("x", 1000.0, "x_obs", 1050.0), seq(leaky, &calls), &log); err == nil || !strings.Contains(err.Error(), "x_obs") {
+		t.Fatalf("want an overhead error naming x_obs, got %v", err)
+	}
+	// Rows without an _obs twin are not re-measured.
+	calls = nil
+	if err := checkObsOverhead(report("x", 1000.0, "y", 9000.0), seq(nil, &calls), &log); err != nil || len(calls) != 0 {
+		t.Fatalf("untwinned rows: err %v, %d measurements", err, len(calls))
+	}
+}

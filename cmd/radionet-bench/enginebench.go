@@ -487,11 +487,10 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 		if len(wanted) > 0 && !wanted[spec.name] {
 			continue
 		}
-		r := testing.Benchmark(spec.fn)
-		if r.N == 0 {
-			return report, fmt.Errorf("engine bench %s did not run", spec.name)
+		r, ns, err := runBench(spec.name, spec.fn)
+		if err != nil {
+			return report, err
 		}
-		ns := float64(r.T.Nanoseconds()) / float64(r.N)
 		row := EngineBenchResult{
 			Name:            spec.name,
 			Nodes:           spec.nodes,
@@ -524,9 +523,17 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 // instrumentation itself, not the hardware.
 const obsOverheadTolerance = 0.03
 
+// obsOverheadPairs is how many base/probed pairs the gate compares, the
+// report's own pair included.
+const obsOverheadPairs = 5
+
 // checkObsOverhead gates every <name>_obs row against its <name> base row
-// within report. Run as part of -engine-bench, baseline or not.
-func checkObsOverhead(report EngineBenchReport, log io.Writer) error {
+// within report. Run as part of -engine-bench, baseline or not. One pair
+// swings far past 3% on a shared host, so measure re-runs the pair,
+// interleaved with alternating order, and the gate compares each side's
+// minimum ns/op: noise only adds time, while a real probe cost shows in
+// every repetition.
+func checkObsOverhead(report EngineBenchReport, measure func(name string) (float64, error), log io.Writer) error {
 	byName := make(map[string]EngineBenchResult, len(report.Benchmarks))
 	for _, b := range report.Benchmarks {
 		byName[b.Name] = b
@@ -536,15 +543,50 @@ func checkObsOverhead(report EngineBenchReport, log io.Writer) error {
 		if b.Name == base.Name || !ok {
 			continue
 		}
-		ratio := b.NsPerOp / base.NsPerOp
-		fmt.Fprintf(log, "obs-overhead: %-24s %12.0f ns/op vs %s %12.0f (%+.1f%%)\n",
-			b.Name, b.NsPerOp, base.Name, base.NsPerOp, (ratio-1)*100)
+		probed, plain := b.NsPerOp, base.NsPerOp
+		sides := [2]struct {
+			name string
+			min  *float64
+		}{{base.Name, &plain}, {b.Name, &probed}}
+		for i := 1; i < obsOverheadPairs; i++ {
+			for j := range sides {
+				s := sides[(i+j)%2]
+				ns, err := measure(s.name)
+				if err != nil {
+					return err
+				}
+				*s.min = min(*s.min, ns)
+			}
+		}
+		ratio := probed / plain
+		fmt.Fprintf(log, "obs-overhead: %-24s %12.0f ns/op vs %s %12.0f (%+.1f%%, min of %d pairs)\n",
+			b.Name, probed, base.Name, plain, (ratio-1)*100, obsOverheadPairs)
 		if ratio > 1+obsOverheadTolerance {
 			return fmt.Errorf("obs-overhead: %s is %.1f%% slower than %s (tolerance %.0f%%) — instrumentation leaked into the step loop",
 				b.Name, (ratio-1)*100, base.Name, obsOverheadTolerance*100)
 		}
 	}
 	return nil
+}
+
+// runBench runs one engine bench and returns its result and ns/op.
+func runBench(name string, fn func(b *testing.B)) (testing.BenchmarkResult, float64, error) {
+	r := testing.Benchmark(fn)
+	if r.N == 0 {
+		return r, 0, fmt.Errorf("engine bench %s did not run", name)
+	}
+	return r, float64(r.T.Nanoseconds()) / float64(r.N), nil
+}
+
+// measureNsPerOp runs the named engine bench once more.
+func measureNsPerOp(name string) (float64, error) {
+	for _, spec := range engineBenchSpecs {
+		if spec.name == name {
+			_, ns, err := runBench(name, spec.fn)
+			return ns, err
+		}
+	}
+	return 0, fmt.Errorf("no engine bench named %q", name)
 }
 
 // writeEngineBench writes the JSON report to out.

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/decay"
 	"repro/internal/graph"
 	"repro/internal/phy"
 	"repro/internal/radio"
@@ -40,43 +41,6 @@ type Result struct {
 	// Winner is the highest source rank (for multi-source runs).
 	Winner int64
 }
-
-// decayNode is the informed-nodes-run-Decay protocol.
-type decayNode struct {
-	levels int
-	best   int64
-	hasMsg bool
-	rng    *xrand.RNG
-	stop   *bool
-	step   int
-	budget int
-}
-
-var _ radio.Protocol = (*decayNode)(nil)
-
-func (d *decayNode) Act(step int) radio.Action {
-	if !d.hasMsg {
-		return radio.Listen()
-	}
-	level := step%d.levels + 1
-	if d.rng.Bernoulli(math.Pow(2, -float64(level))) {
-		return radio.Transmit(d.best)
-	}
-	return radio.Listen()
-}
-
-func (d *decayNode) Deliver(step int, msg radio.Message) {
-	d.step = step + 1
-	if msg == nil {
-		return
-	}
-	if rank, ok := msg.(int64); ok && (!d.hasMsg || rank > d.best) {
-		d.best = rank
-		d.hasMsg = true
-	}
-}
-
-func (d *decayNode) Done() bool { return *d.stop || d.step >= d.budget }
 
 // run executes a decay-style multi-source broadcast with the given level
 // count and returns when all nodes know the highest rank. model, when
@@ -110,39 +74,17 @@ func run(g *graph.Graph, sources map[int]int64, levels, maxSteps int, seed uint6
 		logN := int(math.Ceil(math.Log2(float64(n + 1))))
 		maxSteps = 60 * (d*logN + logN*logN + levels)
 	}
-	target := int64(math.MinInt64)
-	for _, r := range sources {
-		if r > target {
-			target = r
-		}
-	}
-	nodes := make([]*decayNode, n)
-	stop := false
-	factory := func(info radio.NodeInfo) radio.Protocol {
-		nd := &decayNode{levels: levels, rng: info.RNG, stop: &stop, budget: maxSteps}
-		if rank, ok := sources[info.Index]; ok {
-			nd.best = rank
-			nd.hasMsg = true
-		}
-		nodes[info.Index] = nd
-		return nd
-	}
+	fl := decay.NewFlood(levels, maxSteps, sources)
 	completeStep := -1
-	res, err := radio.Run(g, factory, radio.Options{
+	res, err := radio.Run(g, fl.Node, radio.Options{
 		MaxSteps: maxSteps,
 		Seed:     seed,
 		PHY:      model,
 		OnStep: func(st radio.StepStats) {
-			if completeStep >= 0 {
-				return
+			if completeStep < 0 && fl.Informed() == n {
+				completeStep = st.Step + 1
+				fl.Stop()
 			}
-			for _, nd := range nodes {
-				if !nd.hasMsg || nd.best != target {
-					return
-				}
-			}
-			completeStep = st.Step + 1
-			stop = true
 		},
 	})
 	if err != nil {
@@ -153,7 +95,7 @@ func run(g *graph.Graph, sources map[int]int64, levels, maxSteps int, seed uint6
 		Steps:         res.Steps,
 		Transmissions: res.Transmissions,
 		Levels:        levels,
-		Winner:        target,
+		Winner:        fl.Target(),
 	}, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/decay"
 	"repro/internal/graph"
 	"repro/internal/radio"
 	"repro/internal/xrand"
@@ -119,8 +120,7 @@ func (b *bsNode) Act(step int) radio.Action {
 	}
 	if b.active() || b.heardYes {
 		// Informed nodes flood the beacon Decay-style.
-		level := b.step%b.levels + 1
-		if b.rng.Bernoulli(math.Pow(2, -float64(level))) {
+		if b.rng.Bernoulli(decay.Pow2Neg(b.step%b.levels + 1)) {
 			return radio.Transmit(beacon{})
 		}
 	}

@@ -25,6 +25,24 @@ func StepsPerIteration(n int) int {
 	return int(math.Ceil(math.Log2(float64(n))))
 }
 
+// pow2neg[k] = 2^-k for every Decay level a 64-bit node count can reach.
+var pow2neg = func() (t [64]float64) {
+	for k := range t {
+		t[k] = math.Ldexp(1, -k)
+	}
+	return t
+}()
+
+// Pow2Neg returns 2^-k, bit-identical to math.Pow(2, -k) but a table
+// lookup for Decay levels: the transmit probability of every Decay-style
+// sweep, paid once per informed node-step.
+func Pow2Neg(k int) float64 {
+	if uint(k) < uint(len(pow2neg)) {
+		return pow2neg[k]
+	}
+	return math.Ldexp(1, -k)
+}
+
 // Phase is one amplified Decay block embedded in a larger protocol. The
 // owner forwards local step indices 0..Len()-1 to Act/Deliver. A Phase is
 // single-use.
@@ -71,8 +89,7 @@ func (p *Phase) Act(local int) radio.Action {
 		return radio.Listen()
 	}
 	i := local % p.stepsPerIter // 0-based position within the iteration
-	prob := math.Pow(2, -float64(i+1))
-	if p.rng.Bernoulli(prob) {
+	if p.rng.Bernoulli(Pow2Neg(i + 1)) {
 		return radio.Transmit(p.msg)
 	}
 	return radio.Listen()

@@ -1,6 +1,7 @@
 package decay
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/gen"
@@ -241,5 +242,30 @@ func TestNodeActAfterDoneListens(t *testing.T) {
 	}
 	if n.Act(99).Transmit {
 		t.Fatal("done node must not transmit")
+	}
+}
+
+// TestPow2NegMatchesMathPow pins the Decay-probability helper bit for bit
+// to the math.Pow it replaced, across the table, the Ldexp tail, the
+// subnormal range and underflow to zero — so no Bernoulli draw can move.
+func TestPow2NegMatchesMathPow(t *testing.T) {
+	for k := 0; k <= 1100; k++ {
+		if got, want := Pow2Neg(k), math.Pow(2, -float64(k)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Pow2Neg(%d) = %v (%#x), math.Pow gives %v (%#x)", k, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}
+
+// TestScaleByPow2NegMatchesDivision pins the MIS degree-phase rewrite
+// p / 2^b → p · 2^-b: scaling by an exact power of two rounds once either
+// way, so the products agree bit for bit.
+func TestScaleByPow2NegMatchesDivision(t *testing.T) {
+	rng := xrand.New(5)
+	for i := 0; i < 20000; i++ {
+		p := rng.Float64()
+		b := i % 80
+		if got, want := p*Pow2Neg(b), p/math.Pow(2, float64(b)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("p=%v b=%d: %v vs %v", p, b, got, want)
+		}
 	}
 }

@@ -94,7 +94,7 @@ func referenceDynamicRun(sched *dyn.Schedule, factory radio.Factory, n, maxSteps
 	root := xrand.New(seed)
 	nodes := make([]radio.Protocol, n)
 	for v := range nodes {
-		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, D: n, Alpha: n, RNG: root.Split(uint64(v))})
+		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, RNG: root.Split(uint64(v))})
 	}
 	live := make([]bool, n)
 	transmitting := make([]bool, n)

@@ -9,10 +9,10 @@ package exp
 // -parallel value.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
+	"repro/internal/decay"
 	"repro/internal/dyn"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -22,73 +22,6 @@ import (
 	"repro/internal/stats"
 	"repro/internal/xrand"
 )
-
-// dynFloodNode is the shared dynamic-workload protocol: an informed node
-// transmits its best rumor with Decay-style exponentially backed-off
-// probability; a listener adopts the highest rank it hears. It never halts
-// on its own (Done only via the engine-side stop flag or its budget), which
-// is the right behavior when the topology under it keeps changing.
-type dynFloodNode struct {
-	levels int
-	best   int64
-	has    bool
-	rng    *xrand.RNG
-	stop   *bool
-	step   int
-	budget int
-}
-
-func (d *dynFloodNode) Act(step int) radio.Action {
-	if d.has && d.rng.Bernoulli(math.Pow(2, -float64(step%d.levels+1))) {
-		return radio.Transmit(d.best)
-	}
-	return radio.Listen()
-}
-
-func (d *dynFloodNode) Deliver(step int, msg radio.Message) {
-	d.step = step + 1
-	if msg == nil {
-		return
-	}
-	if r, ok := msg.(int64); ok && (!d.has || r > d.best) {
-		d.best = r
-		d.has = true
-	}
-}
-
-func (d *dynFloodNode) Done() bool { return *d.stop || d.step >= d.budget }
-
-// dynFloodState is the wire size of a dynFloodNode snapshot: best (8) + has
-// (1) + step (8) + rng state (8). levels, budget, and the stop flag are
-// reconstructed by the factory and the FloodCheckpoint, not per node.
-const dynFloodState = 25
-
-// SnapshotState implements radio.Snapshotter, making flood runs resumable
-// from engine checkpoints (DESIGN.md §8).
-func (d *dynFloodNode) SnapshotState() []byte {
-	buf := make([]byte, 0, dynFloodState)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.best))
-	if d.has {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(d.step))
-	buf = binary.LittleEndian.AppendUint64(buf, d.rng.State())
-	return buf
-}
-
-// RestoreState implements radio.Snapshotter.
-func (d *dynFloodNode) RestoreState(data []byte) error {
-	if len(data) != dynFloodState {
-		return fmt.Errorf("exp: flood node state is %d bytes, want %d", len(data), dynFloodState)
-	}
-	d.best = int64(binary.LittleEndian.Uint64(data[0:8]))
-	d.has = data[8] == 1
-	d.step = int(binary.LittleEndian.Uint64(data[9:17]))
-	d.rng.SetState(binary.LittleEndian.Uint64(data[17:25]))
-	return nil
-}
 
 // FloodOutcome summarizes one dynamic flood run.
 type FloodOutcome struct {
@@ -180,42 +113,17 @@ func RunFloodCSR(csr *graph.CSR, sources map[int]int64, cfg FloodConfig) (FloodO
 
 // runFlood is the engine-parametric core shared by RunFlood and RunFloodCSR.
 func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig, engine func(radio.Factory, radio.Options) (radio.Result, error)) (FloodOutcome, error) {
-	budget := cfg.Budget
-	target := int64(math.MinInt64)
-	for _, r := range sources {
-		if r > target {
-			target = r
-		}
-	}
 	levels := int(math.Ceil(math.Log2(float64(n + 1))))
-	nodes := make([]*dynFloodNode, n)
-	stop := false
-	factory := func(info radio.NodeInfo) radio.Protocol {
-		nd := &dynFloodNode{levels: levels, rng: info.RNG, stop: &stop, budget: budget}
-		if r, ok := sources[info.Index]; ok {
-			nd.best, nd.has = r, true
-		}
-		nodes[info.Index] = nd
-		return nd
-	}
+	fl := decay.NewFlood(levels, cfg.Budget, sources)
 	out := FloodOutcome{Complete: -1}
-	countInformed := func() int {
-		c := 0
-		for _, nd := range nodes {
-			if nd.has && nd.best == target {
-				c++
-			}
-		}
-		return c
-	}
 	opts := radio.Options{
-		MaxSteps: budget,
+		MaxSteps: cfg.Budget,
 		Seed:     cfg.Seed ^ 0xdf10a7,
 		Topology: topo,
 		PHY:      cfg.PHY,
 		Probe:    cfg.Probe,
 		OnStep: func(st radio.StepStats) {
-			informed := countInformed()
+			informed := fl.Informed()
 			if st.Step == cfg.ProbeStep {
 				out.InformedProbe = informed
 			}
@@ -224,7 +132,7 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 			}
 			if out.Complete < 0 && informed == n {
 				out.Complete = st.Step + 1
-				stop = true
+				fl.Stop()
 			}
 		},
 	}
@@ -233,7 +141,9 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 		// snapshot restores the outcome-so-far (a probe or completion step
 		// before the checkpoint never re-fires in the resumed run).
 		out = cp.Partial
-		stop = out.Complete >= 0
+		if out.Complete >= 0 {
+			fl.Stop()
+		}
 		opts.Resume = cp.Engine
 	}
 	if cfg.OnCheckpoint != nil {
@@ -249,10 +159,10 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 			cfg.OnSnapshot(&FloodCheckpoint{Engine: ecp, Partial: out})
 		}
 	}
-	if _, err := engine(factory, opts); err != nil {
+	if _, err := engine(fl.Node, opts); err != nil {
 		return FloodOutcome{}, err
 	}
-	out.InformedEnd = countInformed()
+	out.InformedEnd = fl.Informed()
 	return out, nil
 }
 

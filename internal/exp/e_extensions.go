@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/decay"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/mis"
@@ -100,46 +101,31 @@ func connectedDeployment(n int, rng *xrand.RNG) ([]gen.Point, *graph.Graph) {
 
 // decayBroadcastSINR runs the informed-nodes-run-Decay broadcast under SINR
 // reception on the unified engine and returns the completion step. The
-// decode-range connectivity graph supplies the parameter estimates (n, D)
-// exactly as the pre-PHY sinr engine derived them.
+// decode-range connectivity graph supplies the step budget (through its
+// diameter) and the node-count estimate.
 func decayBroadcastSINR(pts []gen.Point, n int, params phy.SINRParams, seed uint64) (int, radio.Result, error) {
 	levels := int(math.Ceil(math.Log2(float64(n + 1))))
-	nodes := make([]*sinrDecayNode, n)
-	stop := false
 	g := gen.SINRConnectivity(pts, params)
 	d, err := g.DiameterApprox()
 	if err != nil {
 		return 0, radio.Result{}, err
 	}
 	maxSteps := 60 * (d*levels + levels*levels)
-	factory := func(info radio.NodeInfo) radio.Protocol {
-		nd := &sinrDecayNode{levels: levels, rng: info.RNG, stop: &stop, budget: maxSteps}
-		if info.Index == 0 {
-			nd.informed = true
-		}
-		nodes[info.Index] = nd
-		return nd
-	}
+	fl := decay.NewFlood(levels, maxSteps, map[int]int64{0: 1})
 	model, err := phy.NewSINR(pts, params)
 	if err != nil {
 		return 0, radio.Result{}, err
 	}
 	complete := -1
-	res, err := radio.Run(g, factory, radio.Options{
+	res, err := radio.Run(g, fl.Node, radio.Options{
 		MaxSteps: maxSteps,
 		Seed:     seed,
 		PHY:      model,
 		OnStep: func(st radio.StepStats) {
-			if complete >= 0 {
-				return
+			if complete < 0 && fl.Informed() == n {
+				complete = st.Step + 1
+				fl.Stop()
 			}
-			for _, nd := range nodes {
-				if !nd.informed {
-					return
-				}
-			}
-			complete = st.Step + 1
-			stop = true
 		},
 	})
 	if err != nil {
@@ -150,32 +136,6 @@ func decayBroadcastSINR(pts []gen.Point, n int, params phy.SINRParams, seed uint
 	}
 	return complete, res, nil
 }
-
-// sinrDecayNode mirrors baseline.decayNode for the SINR engine.
-type sinrDecayNode struct {
-	levels   int
-	informed bool
-	rng      *xrand.RNG
-	stop     *bool
-	step     int
-	budget   int
-}
-
-func (d *sinrDecayNode) Act(step int) radio.Action {
-	if d.informed && d.rng.Bernoulli(math.Pow(2, -float64(step%d.levels+1))) {
-		return radio.Transmit(int64(1))
-	}
-	return radio.Listen()
-}
-
-func (d *sinrDecayNode) Deliver(step int, msg radio.Message) {
-	d.step = step + 1
-	if msg != nil {
-		d.informed = true
-	}
-}
-
-func (d *sinrDecayNode) Done() bool { return *d.stop || d.step >= d.budget }
 
 // misUnderSINR runs Radio MIS node logic under SINR reception and verifies
 // independence+maximality against the decode-range connectivity graph.

@@ -33,6 +33,11 @@ func PhyDeployment(spec string, n int, seed uint64, params phy.SINRParams) (*gra
 	if err != nil {
 		return nil, nil, err
 	}
+	if m.Params().DecodeRange() == 1 {
+		// The deployment was drawn as a connected unit-range UDG, so g
+		// already is the decode-range view (the default params' case).
+		return g, m, nil
+	}
 	return SINRConnectivity(pts, m.Params()), m, nil
 }
 

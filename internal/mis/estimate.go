@@ -2,7 +2,6 @@ package mis
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/decay"
 	"repro/internal/graph"
@@ -40,8 +39,7 @@ func (d *degreeNode) Act(step int) radio.Action {
 		return radio.Listen()
 	}
 	block := d.step / d.blockLen
-	prob := d.p / math.Pow(2, float64(block))
-	if d.info.RNG.Bernoulli(prob) {
+	if d.info.RNG.Bernoulli(d.p * decay.Pow2Neg(block)) {
 		return radio.Transmit(degPing{})
 	}
 	return radio.Listen()

@@ -214,8 +214,7 @@ func (nd *node) Act(step int) radio.Action {
 		}
 		if nd.alive {
 			block := off / nd.lay.degBlockLen
-			prob := nd.p / math.Pow(2, float64(block))
-			if nd.info.RNG.Bernoulli(prob) {
+			if nd.info.RNG.Bernoulli(nd.p * decay.Pow2Neg(block)) {
 				return radio.Transmit(degPing{})
 			}
 		}

@@ -3,8 +3,8 @@ package phy
 // Frontier is one step's transmitter set in the two forms the batched
 // reception kernels want: a bitset for O(1) membership tests and the
 // ascending id list for ordered iteration. The engine owns one Frontier per
-// run and rebuilds it every step from its ascending transmitter list, so a
-// model always receives one canonical frontier.
+// run and hands it its whole ascending transmitter list once per step
+// (Set), so a model always receives one canonical frontier.
 type Frontier struct {
 	bits []uint64
 	list []int32
@@ -21,18 +21,19 @@ func (f *Frontier) Resize(n int) {
 	} else {
 		f.bits = f.bits[:words]
 	}
-	if f.list == nil {
-		f.list = make([]int32, 0, n)
-	}
 }
 
-// Add appends one batch of transmitters, ascending within the batch and
-// after every id already added, so the accumulated list stays ascending.
-func (f *Frontier) Add(tx []int32) {
+// Set installs a step's transmitters: the complete list, ascending, in one
+// call on an empty frontier (it panics otherwise). The frontier borrows tx
+// until Clear; the caller must not modify it before then.
+func (f *Frontier) Set(tx []int32) {
+	if len(f.list) != 0 {
+		panic("phy: Frontier.Set on a non-empty frontier")
+	}
 	for _, v := range tx {
 		f.bits[uint32(v)>>6] |= 1 << (uint32(v) & 63)
 	}
-	f.list = append(f.list, tx...)
+	f.list = tx
 }
 
 // Has reports whether v transmits this step.
@@ -40,18 +41,19 @@ func (f *Frontier) Has(v int32) bool {
 	return f.bits[uint32(v)>>6]&(1<<(uint32(v)&63)) != 0
 }
 
-// List returns this step's transmitters in ascending order. The slice is
-// owned by the frontier and valid until the next Clear.
+// List returns this step's transmitters in ascending order: the list given
+// to Set, valid until the next Clear.
 func (f *Frontier) List() []int32 { return f.list }
 
 // Len returns the number of transmitters this step.
 func (f *Frontier) Len() int { return len(f.list) }
 
 // Clear re-zeroes the frontier at cost proportional to the transmitters
-// added, restoring the between-steps all-zero invariant.
+// set, restoring the between-steps all-zero invariant, and releases the
+// borrowed list.
 func (f *Frontier) Clear() {
 	for _, v := range f.list {
 		f.bits[uint32(v)>>6] = 0
 	}
-	f.list = f.list[:0]
+	f.list = nil
 }

@@ -78,7 +78,7 @@ func FuzzSINRBatchVsExact(f *testing.F) {
 		}
 		var fr Frontier
 		fr.Resize(n)
-		fr.Add(tx)
+		fr.Set(tx)
 		var out Outcome
 		s.Resolve(&fr, &out)
 

@@ -23,7 +23,7 @@ func resolveOnce(t *testing.T, m Model, csr *graph.CSR, tx []int32) Outcome {
 	}
 	var f Frontier
 	f.Resize(csr.N())
-	f.Add(tx)
+	f.Set(tx)
 	var out Outcome
 	m.Resolve(&f, &out)
 	snap := Outcome{Marker: out.Marker}
@@ -75,21 +75,37 @@ func TestCollisionModelRule(t *testing.T) {
 	}
 }
 
-func TestCollisionFrontierInShardBatches(t *testing.T) {
-	// Adding {1}, then {2} (two batches) must equal adding {1, 2}.
-	csr := star(4)
-	m := NewCollisionCD()
-	if err := m.Sync(0, csr); err != nil {
-		t.Fatal(err)
-	}
+// TestFrontierSetContract pins the one-call-per-step frontier: Set installs
+// the whole ascending list (bits and list agree), Clear empties both, and a
+// second Set before Clear panics instead of merging batches.
+func TestFrontierSetContract(t *testing.T) {
 	var f Frontier
-	f.Resize(csr.N())
-	f.Add([]int32{1})
-	f.Add([]int32{2})
-	var out Outcome
-	m.Resolve(&f, &out)
-	if len(out.Decoded) != 0 || len(out.Collided) != 1 || out.Collided[0] != 0 {
-		t.Fatalf("batched frontier: %+v", out)
+	f.Resize(130)
+	tx := []int32{1, 64, 129}
+	f.Set(tx)
+	if f.Len() != 3 || &f.List()[0] != &tx[0] {
+		t.Fatalf("Set did not install the caller's list: %v", f.List())
+	}
+	for v := int32(0); v < 130; v++ {
+		if f.Has(v) != (v == 1 || v == 64 || v == 129) {
+			t.Fatalf("Has(%d) = %v after Set(%v)", v, f.Has(v), tx)
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("second Set on a non-empty frontier did not panic")
+			}
+		}()
+		f.Set([]int32{2})
+	}()
+	f.Clear()
+	if f.Len() != 0 || f.Has(1) || f.Has(64) || f.Has(129) {
+		t.Fatalf("Clear left transmitters behind: %v", f.List())
+	}
+	f.Set([]int32{2})
+	if !f.Has(2) || f.Has(1) || f.Len() != 1 {
+		t.Fatalf("Set after Clear: %v", f.List())
 	}
 }
 

@@ -260,41 +260,49 @@ func TestSINRReceiverOnBucketEdge(t *testing.T) {
 	}
 }
 
-// TestSINRShardOrderIndependence pins the fixed accumulation order: feeding
-// the transmitter set as one batch or as several ascending shard batches
-// must produce identical outcomes (the sequential≡pool contract's model-
-// level half).
-func TestSINRShardOrderIndependence(t *testing.T) {
+// TestSINRFrontierReuseIdentical pins the between-steps reset: resolving
+// a transmitter set on a model and frontier that already served another
+// step (then Clear) must give exactly the outcome of a fresh model and
+// frontier, as the engine reuses both for the whole run.
+func TestSINRFrontierReuseIdentical(t *testing.T) {
 	pts := []Point{{0, 0}, {0.4, 0.1}, {0.8, 0}, {1.2, 0.3}, {1.6, 0}, {2.0, 0.2}}
 	csr := emptyCSR(len(pts))
-	one := sinrOver(t, pts, SINRParams{})
-	if err := one.Sync(0, csr); err != nil {
+	fresh := sinrOver(t, pts, SINRParams{})
+	if err := fresh.Sync(0, csr); err != nil {
 		t.Fatal(err)
 	}
 	var fa Frontier
 	fa.Resize(len(pts))
-	fa.Add([]int32{0, 2, 4})
+	fa.Set([]int32{0, 2, 4})
 	var a Outcome
-	one.Resolve(&fa, &a)
+	fresh.Resolve(&fa, &a)
 
-	two := sinrOver(t, pts, SINRParams{})
-	if err := two.Sync(0, csr); err != nil {
+	reused := sinrOver(t, pts, SINRParams{})
+	if err := reused.Sync(0, csr); err != nil {
 		t.Fatal(err)
 	}
 	var fb Frontier
 	fb.Resize(len(pts))
-	fb.Add([]int32{0})
-	fb.Add([]int32{2})
-	fb.Add([]int32{4})
 	var b Outcome
-	two.Resolve(&fb, &b)
+	fb.Set([]int32{1, 3, 5})
+	reused.Resolve(&fb, &b)
+	reused.Clear()
+	fb.Clear()
+	b.Reset()
+	fb.Set([]int32{0, 2, 4})
+	reused.Resolve(&fb, &b)
 
 	if len(a.Decoded) != len(b.Decoded) || len(a.Collided) != len(b.Collided) {
-		t.Fatalf("sharded frontier diverged: %+v vs %+v", a, b)
+		t.Fatalf("reused frontier diverged: %+v vs %+v", a, b)
 	}
 	for i := range a.Decoded {
 		if a.Decoded[i] != b.Decoded[i] {
 			t.Fatalf("decode %d differs: %+v vs %+v", i, a.Decoded[i], b.Decoded[i])
+		}
+	}
+	for i := range a.Collided {
+		if a.Collided[i] != b.Collided[i] {
+			t.Fatalf("collision %d differs: %d vs %d", i, a.Collided[i], b.Collided[i])
 		}
 	}
 }

@@ -99,7 +99,7 @@ func TestHierResolveBitIdentical(t *testing.T) {
 		}
 		var f Frontier
 		f.Resize(n)
-		f.Add(txs)
+		f.Set(txs)
 		var outOn, outOff Outcome
 		on.Resolve(&f, &outOn)
 		on.Clear()
@@ -200,7 +200,7 @@ func FuzzSINRHierVsFlat(f *testing.F) {
 		}
 		var fr Frontier
 		fr.Resize(n)
-		fr.Add(txs)
+		fr.Set(txs)
 		var outOn, outOff Outcome
 		on.Resolve(&fr, &outOn)
 		off.Resolve(&fr, &outOff)

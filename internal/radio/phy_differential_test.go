@@ -59,7 +59,7 @@ func referenceSINRRun(pts []gen.Point, factory radio.Factory, power, pathLoss, n
 	root := xrand.New(seed)
 	nodes := make([]radio.Protocol, n)
 	for v := 0; v < n; v++ {
-		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, D: n, Alpha: n, RNG: root.Split(uint64(v))})
+		nodes[v] = factory(radio.NodeInfo{Index: v, N: n, RNG: root.Split(uint64(v))})
 	}
 	var res radio.Result
 	transmitting := make([]bool, n)

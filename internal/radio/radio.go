@@ -6,9 +6,9 @@
 // or more transmitting neighbors it hears nothing, and it cannot distinguish
 // the two cases (no collision detection). A transmitting node hears nothing.
 //
-// The model is ad-hoc: protocol code receives only linear upper estimates of
-// the global parameters n, D and α plus a private randomness source — never
-// the graph, its own degree, or its neighbors. All nodes wake up in step 0
+// The model is ad-hoc: protocol code receives only a linear upper estimate
+// of the node count n plus a private randomness source — never the graph,
+// its own degree, or its neighbors. All nodes wake up in step 0
 // (synchronous wake-up).
 //
 // The engine is sequential and its step loop performs no heap allocations.
@@ -83,14 +83,14 @@ type Protocol interface {
 }
 
 // NodeInfo is everything a node may legitimately know at wake-up in the
-// ad-hoc model: upper estimates of the graph parameters and a private RNG.
+// ad-hoc model: an upper estimate of the node count and a private RNG. No
+// protocol here reads estimates of D or α, so none are handed out; a
+// baseline that needs D computes it from the graph before its run.
 // Index identifies the node to the engine only; protocols must not treat it
 // as a network identity (they draw random IDs instead, §1.1).
 type NodeInfo struct {
 	Index int
 	N     int // linear upper estimate of the node count
-	D     int // linear upper estimate of the diameter
-	Alpha int // polynomial estimate of the independence number
 	RNG   *xrand.RNG
 }
 
@@ -111,10 +111,10 @@ type Options struct {
 	MaxSteps int
 	// Seed seeds the experiment; per-node RNGs are split from it.
 	Seed uint64
-	// N, D, Alpha override the estimates given to nodes. Zero values are
-	// replaced by the true graph values (the model allows exact knowledge;
+	// N overrides the node-count estimate given to nodes. Zero is
+	// replaced by the true node count (the model allows exact knowledge;
 	// protocols must tolerate upper estimates, which tests exercise).
-	N, D, Alpha int
+	N int
 	// OnStep, when non-nil, observes each step's statistics.
 	OnStep func(StepStats)
 	// WakeAt, when non-nil (length n), staggers wake-up: node v is dormant
@@ -131,11 +131,10 @@ type Options struct {
 	// node set (a churned-out node is one with no incident edges — it keeps
 	// acting, but transmits into the void and hears nothing). Protocols are
 	// never told about epoch changes: the ad-hoc model's information hiding
-	// extends to topology dynamics. The parameter estimates handed to nodes
-	// (N, D, Alpha) are still derived from g, the epoch-0 graph, unless
-	// overridden. internal/dyn builds deterministic schedules implementing
-	// this interface; see DESIGN.md §5 for the epoch semantics and the
-	// determinism contract.
+	// extends to topology dynamics. The node-count estimate handed to nodes
+	// is the fixed node count unless overridden. internal/dyn builds
+	// deterministic schedules implementing this interface; see DESIGN.md §5
+	// for the epoch semantics and the determinism contract.
 	Topology Topology
 	// Checkpoint, when non-nil, receives a resumable engine snapshot at
 	// every topology epoch boundary (dynamic runs only — static runs have
@@ -246,19 +245,17 @@ func Run(g *graph.Graph, factory Factory, opts Options) (Result, error) {
 	if g == nil {
 		return Result{}, fmt.Errorf("radio: nil graph")
 	}
-	return run(g, g.N(), g.DiameterApprox, factory, opts)
+	return run(g, g.N(), factory, opts)
 }
 
 // RunCSR simulates the protocol directly on a frozen CSR snapshot — the
 // graph-free entry point of the million-node path (DESIGN.md §11): the
 // streaming generators hand back a *graph.CSR (flat or packed) and the run
 // never materializes adjacency-list form. The snapshot is installed as a
-// single-epoch static Topology, so Options.Topology must be nil. Parameter
-// estimates not overridden in opts are derived from the snapshot (N, a
-// double-BFS diameter approximation, the trivial α ≤ n bound), exactly as
-// Run derives them from g. Semantics, determinism, and the zero-alloc step
-// loop are identical to Run on FromCSR(csr) — packed snapshots included,
-// which the compact-adjacency engine tests pin against golden digests.
+// single-epoch static Topology, so Options.Topology must be nil. Semantics,
+// determinism, and the zero-alloc step loop are identical to Run on
+// FromCSR(csr) — packed snapshots included, which the compact-adjacency
+// engine tests pin against golden digests.
 func RunCSR(csr *graph.CSR, factory Factory, opts Options) (Result, error) {
 	if csr == nil {
 		return Result{}, fmt.Errorf("radio: nil topology snapshot")
@@ -267,7 +264,7 @@ func RunCSR(csr *graph.CSR, factory Factory, opts Options) (Result, error) {
 		return Result{}, fmt.Errorf("radio: RunCSR installs the snapshot as the run's topology; Options.Topology must be nil")
 	}
 	opts.Topology = staticCSR{csr}
-	return run(nil, csr.N(), csr.DiameterApprox, factory, opts)
+	return run(nil, csr.N(), factory, opts)
 }
 
 // staticCSR adapts one frozen snapshot to the Topology interface: a single
@@ -280,11 +277,11 @@ func (s staticCSR) EpochAt(step int) (*graph.CSR, int) { return s.csr, -1 }
 // run validates the options shared by Run and RunCSR and starts the engine.
 // g is nil on the graph-free path — the engine touches it only through
 // newEngine, which freezes it solely when no Topology is installed.
-func run(g *graph.Graph, n int, approxDiam func() (int, error), factory Factory, opts Options) (Result, error) {
+func run(g *graph.Graph, n int, factory Factory, opts Options) (Result, error) {
 	if opts.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("radio: MaxSteps must be positive, got %d", opts.MaxSteps)
 	}
-	nodes, err := buildNodes(n, approxDiam, factory, opts)
+	nodes, err := buildNodes(n, factory, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -321,38 +318,18 @@ func awake(opts *Options, v, step int) bool {
 	return opts.WakeAt == nil || step >= opts.WakeAt[v]
 }
 
-func buildNodes(n int, approxDiam func() (int, error), factory Factory, opts Options) ([]Protocol, error) {
+func buildNodes(n int, factory Factory, opts Options) ([]Protocol, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("radio: empty graph")
 	}
-	estN, estD, estAlpha := opts.N, opts.D, opts.Alpha
+	estN := opts.N
 	if estN <= 0 {
 		estN = n
-	}
-	if estD <= 0 {
-		d, err := approxDiam()
-		if err != nil {
-			// Disconnected graphs are allowed for MIS; use n as the bound.
-			d = n
-		}
-		if d < 1 {
-			d = 1
-		}
-		estD = d
-	}
-	if estAlpha <= 0 {
-		estAlpha = estN // trivial upper bound α ≤ n
 	}
 	root := xrand.New(opts.Seed)
 	nodes := make([]Protocol, n)
 	for v := 0; v < n; v++ {
-		nodes[v] = factory(NodeInfo{
-			Index: v,
-			N:     estN,
-			D:     estD,
-			Alpha: estAlpha,
-			RNG:   root.Split(uint64(v)),
-		})
+		nodes[v] = factory(NodeInfo{Index: v, N: estN, RNG: root.Split(uint64(v))})
 		if nodes[v] == nil {
 			return nil, fmt.Errorf("radio: factory returned nil protocol for node %d", v)
 		}

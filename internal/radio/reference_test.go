@@ -32,7 +32,7 @@ func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Me
 		}
 	}
 	st := StepStats{}
-	e.frontier.Add(e.txList)
+	e.frontier.Set(e.txList)
 	e.resolveDeliveries(&st)
 	hear := make([]Message, n)
 	copy(hear, e.hear)
@@ -181,7 +181,7 @@ func referenceGraphRun(g *graph.Graph, factory Factory, opts Options, cd bool) R
 	root := xrand.New(opts.Seed)
 	nodes := make([]Protocol, n)
 	for v := range nodes {
-		nodes[v] = factory(NodeInfo{Index: v, N: opts.N, D: opts.D, Alpha: opts.Alpha, RNG: root.Split(uint64(v))})
+		nodes[v] = factory(NodeInfo{Index: v, N: opts.N, RNG: root.Split(uint64(v))})
 	}
 	awake := func(v, step int) bool { return opts.WakeAt == nil || step >= opts.WakeAt[v] }
 	retired := make([]bool, n)
@@ -301,9 +301,8 @@ func TestEnginesTranscriptIdentical(t *testing.T) {
 			}
 		}
 		cd := trial%2 == 0
-		// Explicit estimates keep the engine's diameter estimate out of
-		// the comparison: the reference hands nodes opts' values verbatim.
-		opts := Options{MaxSteps: 40, Seed: rng.Uint64(), N: n, D: n, Alpha: n}
+		// An explicit estimate: the reference hands nodes opts.N verbatim.
+		opts := Options{MaxSteps: 40, Seed: rng.Uint64(), N: n}
 		if cd {
 			opts.PHY = phy.NewCollisionCD()
 		}

@@ -48,7 +48,7 @@ func runSequential(g *graph.Graph, nodes []Protocol, opts Options) (Result, erro
 			break
 		}
 		// Delivery: the PHY model decides reception for the transmitter set.
-		e.frontier.Add(e.txList)
+		e.frontier.Set(e.txList)
 		e.resolveDeliveries(&st)
 		// Deliver phase: every live node receives its message (or silence).
 		e.deliverScan(active, step)
