@@ -75,23 +75,16 @@ func run(g *graph.Graph, sources map[int]int64, levels, maxSteps int, seed uint6
 		maxSteps = 60 * (d*logN + logN*logN + levels)
 	}
 	fl := decay.NewFlood(levels, maxSteps, sources)
-	completeStep := -1
-	res, err := radio.Run(g, fl.Node, radio.Options{
+	res, err := radio.RunPopulation(g.Freeze(), fl, radio.Options{
 		MaxSteps: maxSteps,
 		Seed:     seed,
 		PHY:      model,
-		OnStep: func(st radio.StepStats) {
-			if completeStep < 0 && fl.Informed() == n {
-				completeStep = st.Step + 1
-				fl.Stop()
-			}
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
-		CompleteStep:  completeStep,
+		CompleteStep:  fl.Complete(),
 		Steps:         res.Steps,
 		Transmissions: res.Transmissions,
 		Levels:        levels,

@@ -45,7 +45,8 @@ func Pow2Neg(k int) float64 {
 
 // Phase is one amplified Decay block embedded in a larger protocol. The
 // owner forwards local step indices 0..Len()-1 to Act/Deliver. A Phase is
-// single-use.
+// single-use until Reset re-arms it, which lets an owner embed one by value
+// and re-arm it per block instead of allocating a fresh one.
 type Phase struct {
 	stepsPerIter int
 	iterations   int
@@ -66,12 +67,16 @@ type coin interface {
 // estimate n. If active, the node participates as a sender with message msg;
 // otherwise it only listens. rng must be the node's private RNG.
 func NewPhase(n, iterations int, active bool, msg radio.Message, rng coin) *Phase {
-	if iterations < 1 {
-		iterations = 1
-	}
-	return &Phase{
+	p := new(Phase)
+	p.Reset(n, iterations, active, msg, rng)
+	return p
+}
+
+// Reset re-arms p as a fresh block, exactly as NewPhase would build it.
+func (p *Phase) Reset(n, iterations int, active bool, msg radio.Message, rng coin) {
+	*p = Phase{
 		stepsPerIter: StepsPerIteration(n),
-		iterations:   iterations,
+		iterations:   max(iterations, 1),
 		active:       active,
 		msg:          msg,
 		rng:          rng,

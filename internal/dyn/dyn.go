@@ -6,9 +6,9 @@
 // step interval [starts[i], starts[i+1]) and holds one frozen CSR snapshot;
 // the engines consume it through radio.Options.Topology, querying it only at
 // epoch boundaries so the zero-alloc step loop is untouched between them.
-// Construction is the only place graphs mutate: the base graph is cloned and
-// each epoch's edge delta is applied via graph.ApplyDelta, with one CSR
-// freeze per epoch (never per step).
+// Construction is the only place topologies change: the base graph is
+// frozen once and each epoch's snapshot is built from the previous one by
+// graph.CSR.WithDelta (never per step).
 //
 // Determinism contract: every schedule is a pure function of its inputs —
 // the base graph and, for the randomized generators, an xrand seed. Trials
@@ -58,17 +58,17 @@ type Schedule struct {
 
 // New builds a schedule: epoch 0 is the base graph as given, and each spec
 // opens a new epoch at spec.Start (strictly increasing, all > 0) by applying
-// its delta to the previous epoch's topology. The base graph is cloned, so
-// the caller's graph is never mutated and later mutations of it do not
-// affect the schedule.
+// its delta to the previous epoch's topology. The schedule keeps its own
+// copy of the base adjacency, so the caller's graph is never mutated and
+// later mutations of it do not affect the schedule.
 func New(base *graph.Graph, specs []EpochSpec) (*Schedule, error) {
 	if base == nil || base.N() == 0 {
 		return nil, fmt.Errorf("dyn: empty base graph")
 	}
-	work := base.Clone()
+	csr := base.Freeze().WithDelta(nil, nil) // a private flat copy
 	s := &Schedule{
 		starts: []int{0},
-		csrs:   []*graph.CSR{work.Freeze()},
+		csrs:   []*graph.CSR{csr},
 		deltas: []Delta{{}},
 	}
 	prev := 0
@@ -77,9 +77,9 @@ func New(base *graph.Graph, specs []EpochSpec) (*Schedule, error) {
 			return nil, fmt.Errorf("dyn: epoch starts must be strictly increasing and positive, got %d after %d", spec.Start, prev)
 		}
 		prev = spec.Start
-		work.ApplyDelta(spec.Delta.Remove, spec.Delta.Add)
+		csr = csr.WithDelta(spec.Delta.Remove, spec.Delta.Add)
 		s.starts = append(s.starts, spec.Start)
-		s.csrs = append(s.csrs, work.Freeze())
+		s.csrs = append(s.csrs, csr)
 		s.deltas = append(s.deltas, spec.Delta)
 	}
 	return s, nil

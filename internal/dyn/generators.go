@@ -26,22 +26,34 @@ func Churn(base *graph.Graph, epochs, epochLen int, downFrac float64, rng *xrand
 	if err := checkShape(epochs, epochLen); err != nil {
 		return nil, err
 	}
-	n := base.N()
-	prevDown := make([]bool, n)
-	down := make([]bool, n)
-	var specs []EpochSpec
-	for e := 1; e <= epochs; e++ {
-		for v := 0; v < n; v++ {
+	g, err := NewChurn(base, epochLen, downFrac, rng)
+	if err != nil {
+		return nil, err
+	}
+	return g.Upto(epochs), nil
+}
+
+// NewChurn returns Churn's generator as a Grower: Upto(epochs) is
+// Churn(base, epochs, epochLen, downFrac, rng) for every epochs ≥ 0. The
+// grower draws from rng as it grows, so rng becomes its own; base is only
+// read here.
+func NewChurn(base *graph.Graph, epochLen int, downFrac float64, rng *xrand.RNG) (*Grower, error) {
+	g, err := newGrower(base, epochLen)
+	if err != nil {
+		return nil, err
+	}
+	b := g.s.csrs[0]
+	prevDown := make([]bool, b.N())
+	down := make([]bool, b.N())
+	g.draw = func() Delta {
+		for v := range down {
 			down[v] = rng.Bernoulli(downFrac)
 		}
-		d := toggleDelta(base, func(u, v int) bool { return !prevDown[u] && !prevDown[v] },
-			func(u, v int) bool { return !down[u] && !down[v] })
-		if !d.empty() {
-			specs = append(specs, EpochSpec{Start: e * epochLen, Delta: d})
-		}
-		copy(prevDown, down)
+		d := churnDelta(b, prevDown, down)
+		prevDown, down = down, prevDown
+		return d
 	}
-	return New(base, specs)
+	return g, nil
 }
 
 // EdgeFaults builds an epochs+1-epoch schedule of transient link failures:
@@ -53,12 +65,27 @@ func EdgeFaults(base *graph.Graph, epochs, epochLen int, failProb float64, rng *
 	if err := checkShape(epochs, epochLen); err != nil {
 		return nil, err
 	}
+	g, err := NewEdgeFaults(base, epochLen, failProb, rng)
+	if err != nil {
+		return nil, err
+	}
+	return g.Upto(epochs), nil
+}
+
+// NewEdgeFaults returns EdgeFaults' generator as a Grower: Upto(epochs) is
+// EdgeFaults(base, epochs, epochLen, failProb, rng) for every epochs ≥ 0,
+// with rng and base treated as in NewChurn.
+func NewEdgeFaults(base *graph.Graph, epochLen int, failProb float64, rng *xrand.RNG) (*Grower, error) {
+	g, err := newGrower(base, epochLen)
+	if err != nil {
+		return nil, err
+	}
+	b := g.s.csrs[0]
 	prevFailed := map[graph.Edge]bool{}
-	var specs []EpochSpec
-	for e := 1; e <= epochs; e++ {
+	g.draw = func() Delta {
 		failed := map[graph.Edge]bool{}
 		var d Delta
-		forEachEdge(base, func(u, v int32) {
+		forEachEdge(b, func(u, v int32) {
 			key := graph.Edge{U: u, V: v}
 			f := rng.Bernoulli(failProb)
 			if f {
@@ -71,12 +98,10 @@ func EdgeFaults(base *graph.Graph, epochs, epochLen int, failProb float64, rng *
 				d.Add = append(d.Add, key)
 			}
 		})
-		if !d.empty() {
-			specs = append(specs, EpochSpec{Start: e * epochLen, Delta: d})
-		}
 		prevFailed = failed
+		return d
 	}
-	return New(base, specs)
+	return g, nil
 }
 
 // PartitionHeal builds a three-phase schedule: the base topology on
@@ -92,7 +117,7 @@ func PartitionHeal(base *graph.Graph, side []bool, cutStart, healStart int) (*Sc
 		return nil, fmt.Errorf("dyn: need 1 <= cutStart (%d) < healStart (%d)", cutStart, healStart)
 	}
 	var crossing []graph.Edge
-	forEachEdge(base, func(u, v int32) {
+	forEachEdge(base.Freeze(), func(u, v int32) {
 		if side[u] != side[v] {
 			crossing = append(crossing, graph.Edge{U: u, V: v})
 		}
@@ -103,26 +128,33 @@ func PartitionHeal(base *graph.Graph, side []bool, cutStart, healStart int) (*Sc
 	})
 }
 
-// toggleDelta emits the delta for base edges whose presence predicate
-// flipped between two epochs, scanning base's adjacency in deterministic
-// (lower endpoint, list position) order.
-func toggleDelta(base *graph.Graph, was, is func(u, v int) bool) Delta {
+// churnDelta emits the delta for base edges whose presence flipped between
+// two epochs' down-sets (an edge is present while both endpoints are up),
+// scanning base's adjacency in deterministic (lower endpoint, list
+// position) order.
+func churnDelta(base *graph.CSR, wasDown, isDown []bool) Delta {
 	var d Delta
-	forEachEdge(base, func(u, v int32) {
-		w, n := was(int(u), int(v)), is(int(u), int(v))
-		switch {
-		case w && !n:
-			d.Remove = append(d.Remove, graph.Edge{U: u, V: v})
-		case !w && n:
-			d.Add = append(d.Add, graph.Edge{U: u, V: v})
+	for u := 0; u < base.N(); u++ {
+		for _, v := range base.Neighbors(u) {
+			if int(v) <= u {
+				continue
+			}
+			was := !wasDown[u] && !wasDown[v]
+			is := !isDown[u] && !isDown[v]
+			switch {
+			case was && !is:
+				d.Remove = append(d.Remove, graph.Edge{U: int32(u), V: v})
+			case !was && is:
+				d.Add = append(d.Add, graph.Edge{U: int32(u), V: v})
+			}
 		}
-	})
+	}
 	return d
 }
 
 // forEachEdge visits every undirected edge of g once, as (lower, higher)
 // endpoints in adjacency order.
-func forEachEdge(g *graph.Graph, visit func(u, v int32)) {
+func forEachEdge(g *graph.CSR, visit func(u, v int32)) {
 	for u := 0; u < g.N(); u++ {
 		for _, v := range g.Neighbors(u) {
 			if int(v) > u {

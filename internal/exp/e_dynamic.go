@@ -95,46 +95,61 @@ type FloodConfig struct {
 // runner, so the CLIs and the experiment suite cannot disagree about what a
 // flood means — under any topology schedule or reception model.
 func RunFlood(g *graph.Graph, topo radio.Topology, sources map[int]int64, cfg FloodConfig) (FloodOutcome, error) {
-	return runFlood(g.N(), topo, sources, cfg, func(factory radio.Factory, opts radio.Options) (radio.Result, error) {
-		return radio.Run(g, factory, opts)
+	return runFlood(g.N(), topo, sources, cfg, func(fl *decay.Flood, opts radio.Options) (radio.Result, error) {
+		if topo == nil {
+			return radio.RunPopulation(g.Freeze(), fl, opts)
+		}
+		// The flood is sized from g (its levels); the engine from the
+		// schedule. They must agree.
+		if csr, _ := topo.EpochAt(0); csr != nil && csr.N() != g.N() {
+			return radio.Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", csr.N(), g.N())
+		}
+		return radio.RunPopulation(nil, fl, opts)
 	})
 }
 
 // RunFloodCSR is RunFlood on the graph-free streaming path: the frozen
-// snapshot IS the run's (static) topology, installed through radio.RunCSR,
-// so no graph.Graph intermediate ever exists — E24 floods 10⁵-node
-// streaming-built CSRs through this entry. Dynamic schedules don't apply
-// here; use RunFlood for those.
+// snapshot IS the run's (static) topology, installed through
+// radio.RunPopulation, so no graph.Graph intermediate ever exists — E24
+// floods 10⁵-node streaming-built CSRs through this entry. Dynamic
+// schedules don't apply here; use RunFlood for those.
 func RunFloodCSR(csr *graph.CSR, sources map[int]int64, cfg FloodConfig) (FloodOutcome, error) {
-	return runFlood(csr.N(), nil, sources, cfg, func(factory radio.Factory, opts radio.Options) (radio.Result, error) {
-		return radio.RunCSR(csr, factory, opts)
+	return runFlood(csr.N(), nil, sources, cfg, func(fl *decay.Flood, opts radio.Options) (radio.Result, error) {
+		return radio.RunPopulation(csr, fl, opts)
 	})
 }
 
 // runFlood is the engine-parametric core shared by RunFlood and RunFloodCSR.
-func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig, engine func(radio.Factory, radio.Options) (radio.Result, error)) (FloodOutcome, error) {
+// The flood records its own completion step and stops there; the harness
+// adds the probe, the per-step observer and the resumable outcome-so-far.
+func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig, engine func(*decay.Flood, radio.Options) (radio.Result, error)) (FloodOutcome, error) {
 	levels := int(math.Ceil(math.Log2(float64(n + 1))))
 	fl := decay.NewFlood(levels, cfg.Budget, sources)
 	out := FloodOutcome{Complete: -1}
+	// sofar is the outcome over the steps run so far: a completion step
+	// carried in by a resume, else the flood's own.
+	sofar := func() FloodOutcome {
+		o := out
+		if o.Complete < 0 {
+			o.Complete = fl.Complete()
+		}
+		return o
+	}
 	opts := radio.Options{
 		MaxSteps: cfg.Budget,
 		Seed:     cfg.Seed ^ 0xdf10a7,
 		Topology: topo,
 		PHY:      cfg.PHY,
 		Probe:    cfg.Probe,
-		OnStep: func(st radio.StepStats) {
-			informed := fl.Informed()
-			if st.Step == cfg.ProbeStep {
-				out.InformedProbe = informed
-			}
-			if cfg.OnStep != nil {
-				cfg.OnStep(st.Step, informed)
-			}
-			if out.Complete < 0 && informed == n {
-				out.Complete = st.Step + 1
-				fl.Stop()
-			}
-		},
+	}
+	opts.OnStep = func(st radio.StepStats) {
+		informed := fl.Informed()
+		if st.Step == cfg.ProbeStep {
+			out.InformedProbe = informed
+		}
+		if cfg.OnStep != nil {
+			cfg.OnStep(st.Step, informed)
+		}
 	}
 	if cp := cfg.Resume; cp != nil {
 		// The engine restores per-node state; the harness half of the
@@ -148,20 +163,21 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 	}
 	if cfg.OnCheckpoint != nil {
 		opts.Checkpoint = func(ecp *radio.Checkpoint) error {
-			// out is updated by OnStep after each step, so at a boundary it
-			// covers exactly the steps before ecp.Step — the two snapshot
-			// halves are consistent by construction.
-			return cfg.OnCheckpoint(&FloodCheckpoint{Engine: ecp, Partial: out})
+			// At a boundary the probe and the flood have seen exactly the
+			// steps before ecp.Step — the two snapshot halves are
+			// consistent by construction.
+			return cfg.OnCheckpoint(&FloodCheckpoint{Engine: ecp, Partial: sofar()})
 		}
 	}
 	if cfg.OnSnapshot != nil {
 		opts.Snapshot = func(ecp *radio.Checkpoint) {
-			cfg.OnSnapshot(&FloodCheckpoint{Engine: ecp, Partial: out})
+			cfg.OnSnapshot(&FloodCheckpoint{Engine: ecp, Partial: sofar()})
 		}
 	}
-	if _, err := engine(fl.Node, opts); err != nil {
+	if _, err := engine(fl, opts); err != nil {
 		return FloodOutcome{}, err
 	}
+	out = sofar()
 	out.InformedEnd = fl.Informed()
 	return out, nil
 }

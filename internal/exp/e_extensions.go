@@ -116,21 +116,15 @@ func decayBroadcastSINR(pts []gen.Point, n int, params phy.SINRParams, seed uint
 	if err != nil {
 		return 0, radio.Result{}, err
 	}
-	complete := -1
-	res, err := radio.Run(g, fl.Node, radio.Options{
+	res, err := radio.RunPopulation(g.Freeze(), fl, radio.Options{
 		MaxSteps: maxSteps,
 		Seed:     seed,
 		PHY:      model,
-		OnStep: func(st radio.StepStats) {
-			if complete < 0 && fl.Informed() == n {
-				complete = st.Step + 1
-				fl.Stop()
-			}
-		},
 	})
 	if err != nil {
 		return 0, radio.Result{}, err
 	}
+	complete := fl.Complete()
 	if complete < 0 {
 		complete = res.Steps
 	}

@@ -12,21 +12,17 @@ import (
 )
 
 // runFloodCounted is runFlood with an O(n) oracle beside the incremental
-// informed count: the engine hook keeps every node, and after every step
-// (and at the end) the count the harness reports must equal a rescan of
-// all nodes for the target rank.
+// informed count: the engine hook keeps the flood population, and after
+// every step (and at the end) the count the harness reports must equal a
+// rescan of every node's rank for the target.
 func runFloodCounted(t *testing.T, n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig,
-	engine func(radio.Factory, radio.Options) (radio.Result, error)) FloodOutcome {
+	engine func(*decay.Flood, radio.Options) (radio.Result, error)) FloodOutcome {
 	t.Helper()
-	target := int64(-1 << 63)
-	for _, r := range sources {
-		target = max(target, r)
-	}
-	nodes := make([]*decay.FloodNode, n)
+	var fl *decay.Flood
 	rescan := func() int {
 		c := 0
-		for _, nd := range nodes {
-			if r, ok := nd.Rank(); ok && r == target {
+		for v := 0; v < n; v++ {
+			if r, ok := fl.Rank(v); ok && r == fl.Target() {
 				c++
 			}
 		}
@@ -39,12 +35,9 @@ func runFloodCounted(t *testing.T, n int, topo radio.Topology, sources map[int]i
 			t.Fatalf("step %d: incremental informed count %d, rescan %d", step, informed, want)
 		}
 	}
-	out, err := runFlood(n, topo, sources, cfg, func(f radio.Factory, o radio.Options) (radio.Result, error) {
-		return engine(func(info radio.NodeInfo) radio.Protocol {
-			p := f(info)
-			nodes[info.Index] = p.(*decay.FloodNode)
-			return p
-		}, o)
+	out, err := runFlood(n, topo, sources, cfg, func(f *decay.Flood, o radio.Options) (radio.Result, error) {
+		fl = f
+		return engine(f, o)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -71,8 +64,8 @@ func TestFloodInformedCountMatchesRescan(t *testing.T) {
 		}
 		sources := map[int]int64{5: 700, 100: 9000, 333: 12}
 		cfg := FloodConfig{Budget: 4000, ProbeStep: -1, Seed: 4, PHY: phy.NewCollisionCD()}
-		out := runFloodCounted(t, csr.N(), nil, sources, cfg, func(f radio.Factory, o radio.Options) (radio.Result, error) {
-			return radio.RunCSR(csr, f, o)
+		out := runFloodCounted(t, csr.N(), nil, sources, cfg, func(f *decay.Flood, o radio.Options) (radio.Result, error) {
+			return radio.RunPopulation(csr, f, o)
 		})
 		if out.Complete < 0 {
 			t.Fatalf("static flood did not complete: %+v", out)
@@ -86,7 +79,7 @@ func TestFloodInformedCountMatchesRescan(t *testing.T) {
 	}
 	sources := map[int]int64{0: 7, 63: 3}
 	base := FloodConfig{Budget: 96, ProbeStep: 10, Seed: 99}
-	onEngine := func(f radio.Factory, o radio.Options) (radio.Result, error) { return radio.Run(g, f, o) }
+	onEngine := func(f *decay.Flood, o radio.Options) (radio.Result, error) { return radio.RunPopulation(nil, f, o) }
 	want, err := RunFlood(g, sched, sources, base)
 	if err != nil {
 		t.Fatal(err)

@@ -70,3 +70,16 @@ func TestFloodCheckpointResume(t *testing.T) {
 		}
 	}
 }
+
+// TestRunFloodRejectsMismatchedSchedule: RunFlood sizes the flood from g
+// and the engine from the schedule, so a schedule over a different node
+// count is an error, not a run with the wrong Decay levels.
+func TestRunFloodRejectsMismatchedSchedule(t *testing.T) {
+	sched, err := dyn.Churn(gen.Grid(6, 6), 4, 8, 0.3, xrand.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunFlood(gen.Grid(5, 5), sched, map[int]int64{0: 1}, FloodConfig{Budget: 32, ProbeStep: -1}); err == nil {
+		t.Fatal("RunFlood accepted a 36-node schedule for a 25-node graph")
+	}
+}

@@ -187,7 +187,7 @@ func ScheduleByName(spec string, n, epochs, epochLen int, rate float64, seed uin
 	if rate <= 0 {
 		rate = DefaultDynRate
 	}
-	rng := xrand.New(seed ^ 0xd1a2b3c4d5e6f708)
+	rng := xrand.New(seed ^ scheduleSeedMix)
 	kind, class, ok := splitDynSpec(spec)
 	if !ok {
 		base, err := ByName(spec, n, seed)
@@ -228,6 +228,39 @@ func ScheduleByName(spec string, n, epochs, epochLen int, rate float64, seed uin
 	default: // "fault"
 		return dyn.EdgeFaults(base, epochs, epochLen, rate, rng)
 	}
+}
+
+// scheduleSeedMix separates a schedule's random stream from the graph
+// draw's, which uses seed itself.
+const scheduleSeedMix = 0xd1a2b3c4d5e6f708
+
+// ScheduleGrower returns ScheduleByName's generator for a churn: or fault:
+// spec as a dyn.Grower: Upto(epochs) is ScheduleByName(spec, n, epochs,
+// epochLen, rate, seed) for every epochs ≥ 0. Other specs have no grower,
+// and the result is (nil, nil).
+func ScheduleGrower(spec string, n, epochLen int, rate float64, seed uint64) (*dyn.Grower, error) {
+	kind, class, ok := splitDynSpec(spec)
+	if !ok || (kind != "churn" && kind != "fault") {
+		return nil, nil
+	}
+	if rate <= 0 {
+		rate = DefaultDynRate
+	}
+	if err := validateDynSpec(spec, kind, class); err != nil {
+		return nil, err
+	}
+	if err := ValidateRate(kind, rate); err != nil {
+		return nil, err
+	}
+	base, err := ByName(class, n, seed)
+	if err != nil {
+		return nil, err
+	}
+	rng := xrand.New(seed ^ scheduleSeedMix)
+	if kind == "churn" {
+		return dyn.NewChurn(base, epochLen, rate, rng)
+	}
+	return dyn.NewEdgeFaults(base, epochLen, rate, rng)
 }
 
 // DefaultDynRate is the rate ScheduleByName substitutes for rate ≤ 0 —

@@ -93,3 +93,41 @@ func TestMobileUDGMoves(t *testing.T) {
 		t.Fatalf("zero-speed mobility produced %d epochs, want 1", s0.Epochs())
 	}
 }
+
+// TestScheduleGrowerMatchesScheduleByName: a churn:/fault: grower asked for
+// epoch counts in any order returns ScheduleByName's schedule for each;
+// other specs have no grower, and bad specs fail as in ScheduleByName.
+func TestScheduleGrowerMatchesScheduleByName(t *testing.T) {
+	for _, spec := range []string{"churn:grid", "fault:gnp", "churn:udg"} {
+		gr, err := ScheduleGrower(spec, 48, 8, 0, 77)
+		if err != nil || gr == nil {
+			t.Fatalf("%s: grower %v, err %v", spec, gr, err)
+		}
+		for _, e := range []int{3, 9, 1, 9, 6} {
+			want, err := ScheduleByName(spec, 48, e, 8, 0, 77)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := gr.Upto(e)
+			if got.Epochs() != want.Epochs() {
+				t.Fatalf("%s epochs=%d: %d epochs, want %d", spec, e, got.Epochs(), want.Epochs())
+			}
+			for i := 0; i < want.Epochs(); i++ {
+				if got.Start(i) != want.Start(i) || !got.CSR(i).Equal(want.CSR(i)) {
+					t.Fatalf("%s epochs=%d: epoch %d differs", spec, e, i)
+				}
+			}
+		}
+	}
+	for _, spec := range []string{"grid", "mobile:udg", "phy:sinr", "warp:grid"} {
+		if gr, err := ScheduleGrower(spec, 48, 8, 0, 77); gr != nil || err != nil {
+			t.Fatalf("%s: grower %v, err %v; want none", spec, gr, err)
+		}
+	}
+	if _, err := ScheduleGrower("churn:nosuch", 16, 5, 0, 1); err == nil {
+		t.Fatal("churn:nosuch: want an error")
+	}
+	if _, err := ScheduleGrower("churn:grid", 16, 5, 1.5, 1); err == nil {
+		t.Fatal("churn rate 1.5: want an error")
+	}
+}

@@ -124,3 +124,49 @@ func TestCSREqual(t *testing.T) {
 		t.Fatal("Equal must be order-sensitive")
 	}
 }
+
+// TestWithDeltaMatchesApplyDelta pins CSR.WithDelta to its definition:
+// materialize, ApplyDelta, Freeze. Deltas draw from a window one past each
+// end of the vertex range, so absent removals, present or repeated
+// additions, self-loops, out-of-range endpoints and edges removed and
+// re-added in one batch all occur; packed inputs and stacked deltas are
+// covered too.
+func TestWithDeltaMatchesApplyDelta(t *testing.T) {
+	rng := xrand.New(2024)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(30)
+		g := New(n)
+		for i := 0; i < 2*n; i++ {
+			g.AddEdge(rng.Intn(n), rng.Intn(n))
+		}
+		c := g.Freeze()
+		if trial%3 == 0 {
+			c = c.Pack()
+		}
+		edge := func() Edge {
+			return Edge{int32(rng.Intn(n+2) - 1), int32(rng.Intn(n+2) - 1)}
+		}
+		for d := 0; d < 4; d++ {
+			var rem, add []Edge
+			for i := rng.Intn(n + 1); i > 0; i-- {
+				rem = append(rem, edge())
+			}
+			for i := rng.Intn(n + 1); i > 0; i-- {
+				add = append(add, edge())
+			}
+			if len(rem) > 0 && rng.Intn(2) == 0 {
+				add = append(add, rem[0], rem[0])
+			}
+			want := c.Graph()
+			want.ApplyDelta(rem, add)
+			got := c.WithDelta(rem, add)
+			if !got.Equal(want.Freeze()) {
+				t.Fatalf("trial %d delta %d: WithDelta differs from ApplyDelta+Freeze\nremove %v\nadd %v", trial, d, rem, add)
+			}
+			if got.IsPacked() {
+				t.Fatal("WithDelta must return a flat snapshot")
+			}
+			c = got
+		}
+	}
+}

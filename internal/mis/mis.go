@@ -134,12 +134,21 @@ func newLayout(n int, p Params) layout {
 	return l
 }
 
-// node is the per-node Radio MIS protocol state machine.
-type node struct {
-	info   radio.NodeInfo
+// runConfig is the read-only state every node of a run shares, behind one
+// pointer rather than copied into each node.
+type runConfig struct {
 	params Params
 	lay    layout
 	rounds int
+}
+
+// node is the per-node Radio MIS protocol state machine. It allocates
+// nothing after construction: the mark and announcement Decay blocks never
+// overlap, so one embedded Phase is re-armed for each, and the degree
+// estimate keeps only the current sub-block's count.
+type node struct {
+	info radio.NodeInfo
+	cfg  *runConfig
 
 	p         float64 // desire level p_t(v)
 	round     int
@@ -153,21 +162,20 @@ type node struct {
 	heardMark      bool
 	joinedThisRnd  bool
 	heardAnnounce  bool
-	markDecay      *decay.Phase
-	announceDecay  *decay.Phase
-	degCounts      []int
+	high           bool        // some degree sub-block this round reached highThresh
+	decay          decay.Phase // the round's mark block, then its announcement block
+	degBlock       int         // the degree sub-block degCount counts
+	degCount       int         // receptions in degBlock
 	joinRound      int
 	dominatedRound int
 }
 
 var _ radio.Protocol = (*node)(nil)
 
-func newNode(info radio.NodeInfo, params Params, lay layout, rounds int) *node {
+func newNode(info radio.NodeInfo, cfg *runConfig) *node {
 	return &node{
 		info:           info,
-		params:         params,
-		lay:            lay,
-		rounds:         rounds,
+		cfg:            cfg,
 		p:              0.5,
 		alive:          true,
 		joinRound:      -1,
@@ -178,12 +186,12 @@ func newNode(info radio.NodeInfo, params Params, lay layout, rounds int) *node {
 // phaseOf maps a local (within-round) step offset to its phase.
 func (nd *node) phaseOf(local int) (phase, int) {
 	switch {
-	case local < nd.lay.announceBase:
+	case local < nd.cfg.lay.announceBase:
 		return phaseMark, local
-	case local < nd.lay.degreeBase:
-		return phaseAnnounce, local - nd.lay.announceBase
+	case local < nd.cfg.lay.degreeBase:
+		return phaseAnnounce, local - nd.cfg.lay.announceBase
 	default:
-		return phaseDegree, local - nd.lay.degreeBase
+		return phaseDegree, local - nd.cfg.lay.degreeBase
 	}
 }
 
@@ -191,29 +199,25 @@ func (nd *node) Act(step int) radio.Action {
 	if nd.finished {
 		return radio.Listen()
 	}
-	local := nd.step % nd.lay.roundLen
+	local := nd.step % nd.cfg.lay.roundLen
 	ph, off := nd.phaseOf(local)
 	switch ph {
 	case phaseMark:
 		if off == 0 {
 			nd.beginRound()
 		}
-		if nd.markDecay != nil {
-			return nd.markDecay.Act(off)
-		}
+		return nd.decay.Act(off)
 	case phaseAnnounce:
 		if off == 0 {
 			nd.resolveMark()
 		}
-		if nd.announceDecay != nil {
-			return nd.announceDecay.Act(off)
-		}
+		return nd.decay.Act(off)
 	case phaseDegree:
 		if off == 0 {
 			nd.resolveAnnounce()
 		}
 		if nd.alive {
-			block := off / nd.lay.degBlockLen
+			block := off / nd.cfg.lay.degBlockLen
 			if nd.info.RNG.Bernoulli(nd.p * decay.Pow2Neg(block)) {
 				return radio.Transmit(degPing{})
 			}
@@ -232,21 +236,23 @@ type (
 	announceMsg struct{}
 )
 
-// beginRound draws the round's mark coin and prepares the mark Decay block.
+// beginRound draws the round's mark coin and arms the mark Decay block. A
+// removed node only listens (an inactive block draws no coins).
 func (nd *node) beginRound() {
 	nd.marked = false
 	nd.heardMark = false
 	nd.joinedThisRnd = false
 	nd.heardAnnounce = false
-	nd.markDecay = nil
-	nd.announceDecay = nil
-	nd.degCounts = make([]int, nd.lay.degBlocks)
-	if !nd.alive {
-		return
+	nd.high, nd.degBlock, nd.degCount = false, 0, 0
+	if nd.alive {
+		nd.marked = nd.info.RNG.Bernoulli(nd.p)
 	}
-	nd.marked = nd.info.RNG.Bernoulli(nd.p)
-	nd.markDecay = decay.NewPhase(nd.info.N, nd.params.DecayFactor*nd.lay.spi,
-		nd.marked, markMsg{}, nd.info.RNG)
+	nd.armDecay(nd.marked, markMsg{})
+}
+
+// armDecay re-arms the embedded Decay block for this round's next block.
+func (nd *node) armDecay(active bool, msg radio.Message) {
+	nd.decay.Reset(nd.info.N, nd.cfg.params.DecayFactor*nd.cfg.lay.spi, active, msg, nd.info.RNG)
 }
 
 // resolveMark decides MIS joining after the mark block and prepares the
@@ -257,8 +263,7 @@ func (nd *node) resolveMark() {
 		nd.joinedThisRnd = true
 		nd.joinRound = nd.round
 	}
-	nd.announceDecay = decay.NewPhase(nd.info.N, nd.params.DecayFactor*nd.lay.spi,
-		nd.joinedThisRnd, announceMsg{}, nd.info.RNG)
+	nd.armDecay(nd.joinedThisRnd, announceMsg{})
 }
 
 // resolveAnnounce removes MIS nodes and their dominated neighbors from the
@@ -277,31 +282,34 @@ func (nd *node) Deliver(step int, msg radio.Message) {
 	if nd.finished {
 		return
 	}
-	local := nd.step % nd.lay.roundLen
+	local := nd.step % nd.cfg.lay.roundLen
 	ph, off := nd.phaseOf(local)
 	switch ph {
 	case phaseMark:
 		if msg != nil && nd.alive {
 			nd.heardMark = true
 		}
-		if nd.markDecay != nil {
-			nd.markDecay.Deliver(off, msg)
-		}
+		nd.decay.Deliver(off, msg)
 	case phaseAnnounce:
 		if msg != nil && nd.alive && !nd.joinedThisRnd {
 			nd.heardAnnounce = true
 		}
-		if nd.announceDecay != nil {
-			nd.announceDecay.Deliver(off, msg)
-		}
+		nd.decay.Deliver(off, msg)
 	case phaseDegree:
 		if msg != nil && nd.alive {
-			block := off / nd.lay.degBlockLen
-			nd.degCounts[block]++
+			// Sub-blocks run in order, so one counter per round suffices:
+			// it restarts when a later sub-block's first reception arrives.
+			if block := off / nd.cfg.lay.degBlockLen; block != nd.degBlock {
+				nd.degBlock, nd.degCount = block, 0
+			}
+			nd.degCount++
+			if float64(nd.degCount) >= nd.cfg.lay.highThresh {
+				nd.high = true
+			}
 		}
 	}
 	nd.step++
-	if nd.step%nd.lay.roundLen == 0 {
+	if nd.step%nd.cfg.lay.roundLen == 0 {
 		nd.endRound()
 	}
 }
@@ -310,14 +318,7 @@ func (nd *node) Deliver(step int, msg radio.Message) {
 // advances the round counter.
 func (nd *node) endRound() {
 	if nd.alive {
-		high := false
-		for _, c := range nd.degCounts {
-			if float64(c) >= nd.lay.highThresh {
-				high = true
-				break
-			}
-		}
-		if high {
+		if nd.high {
 			nd.p /= 2
 		} else {
 			nd.p = math.Min(2*nd.p, 0.5)
@@ -327,7 +328,7 @@ func (nd *node) endRound() {
 	// Removed nodes (MIS members and dominated nodes) leave the protocol at
 	// the end of their removal round — Algorithm 7 removes them from the
 	// graph. Alive nodes persist until the round budget runs out.
-	if !nd.alive || nd.round >= nd.rounds {
+	if !nd.alive || nd.round >= nd.cfg.rounds {
 		nd.finished = true
 	}
 }
@@ -428,9 +429,10 @@ func runEngine(n int, params Params, seed uint64, nEst int, wakeAt []int, engine
 	}
 	lay := newLayout(nEst, params)
 	rounds := params.RoundFactor * decay.StepsPerIteration(nEst)
+	cfg := &runConfig{params: params, lay: lay, rounds: rounds}
 	nodes := make([]*node, n)
 	factory := func(info radio.NodeInfo) radio.Protocol {
-		nodes[info.Index] = newNode(info, params, lay, rounds)
+		nodes[info.Index] = newNode(info, cfg)
 		return nodes[info.Index]
 	}
 	maxSteps := rounds*lay.roundLen + 1

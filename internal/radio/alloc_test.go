@@ -2,6 +2,8 @@ package radio
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/dyn"
@@ -9,6 +11,18 @@ import (
 	"repro/internal/phy"
 	"repro/internal/xrand"
 )
+
+// allocsPerRun is testing.AllocsPerRun with the collector paused. A GC
+// cycle that lands inside a measured run adds the runtime's own
+// allocations to that run (a sudog taken in gcMarkDone, for one), so
+// without the pause the differentials below compare where GC cycles fall —
+// they flip with GOGC and with unrelated changes to how much a run
+// allocates — instead of what the step loop allocates.
+func allocsPerRun(runs int, f func()) float64 {
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
+}
 
 // steadyMsg is boxed once so transmitting it allocates nothing.
 var steadyMsg Message = int64(42)
@@ -47,8 +61,8 @@ func TestSequentialStepZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { runSteps(64) })
-	long := testing.AllocsPerRun(5, func() { runSteps(320) })
+	short := allocsPerRun(5, func() { runSteps(64) })
+	long := allocsPerRun(5, func() { runSteps(320) })
 	if long > short {
 		t.Fatalf("sequential step loop allocates: %.1f allocs over 256 extra steps (%.1f vs %.1f per run)",
 			long-short, long, short)
@@ -73,8 +87,8 @@ func TestSequentialStepZeroAllocWithRetirement(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { runSteps(64) })
-	long := testing.AllocsPerRun(5, func() { runSteps(320) })
+	short := allocsPerRun(5, func() { runSteps(64) })
+	long := allocsPerRun(5, func() { runSteps(320) })
 	if long > short {
 		t.Fatalf("sparse step loop allocates: %.1f allocs over 256 extra steps", long-short)
 	}
@@ -116,8 +130,8 @@ func TestSequentialStepZeroAllocProbeArmed(t *testing.T) {
 		}
 	}
 	for _, steps := range []int{64, 320} {
-		probed := testing.AllocsPerRun(5, func() { runSteps(steps, true) })
-		bare := testing.AllocsPerRun(5, func() { runSteps(steps, false) })
+		probed := allocsPerRun(5, func() { runSteps(steps, true) })
+		bare := allocsPerRun(5, func() { runSteps(steps, false) })
 		if probed > bare {
 			t.Fatalf("arming Probe costs %.1f allocs over %d boundaries (%.1f vs %.1f per run)",
 				probed-bare, steps/8, probed, bare)
@@ -148,8 +162,8 @@ func TestSequentialStepZeroAllocPackedCSR(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(5, func() { runSteps(64) })
-	long := testing.AllocsPerRun(5, func() { runSteps(320) })
+	short := allocsPerRun(5, func() { runSteps(64) })
+	long := allocsPerRun(5, func() { runSteps(320) })
 	if long > short {
 		t.Fatalf("packed-CSR step loop allocates: %.1f allocs over 256 extra steps (%.1f vs %.1f per run)",
 			long-short, long, short)
@@ -205,8 +219,8 @@ func TestSequentialSINRStepZeroAllocN4096(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	short := testing.AllocsPerRun(3, func() { runSteps(32) })
-	long := testing.AllocsPerRun(3, func() { runSteps(160) })
+	short := allocsPerRun(3, func() { runSteps(32) })
+	long := allocsPerRun(3, func() { runSteps(160) })
 	if long > short {
 		t.Fatalf("SINR step loop allocates at n=4096: %.1f allocs over 128 extra steps (%.1f vs %.1f per run)",
 			long-short, long, short)

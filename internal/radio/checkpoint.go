@@ -41,16 +41,6 @@ type Checkpoint struct {
 	Nodes [][]byte `json:"nodes"`
 }
 
-// requireSnapshotters verifies every protocol supports checkpointing.
-func requireSnapshotters(nodes []Protocol) error {
-	for v, nd := range nodes {
-		if _, ok := nd.(Snapshotter); !ok {
-			return fmt.Errorf("radio: checkpoint/resume requires every protocol to implement Snapshotter; node %d (%T) does not", v, nd)
-		}
-	}
-	return nil
-}
-
 // capture snapshots the run at the boundary of step: the active list is
 // copied, every node's protocol state is serialized.
 func (e *engine) capture(step int, active []int32, partial Result) *Checkpoint {
@@ -58,10 +48,10 @@ func (e *engine) capture(step int, active []int32, partial Result) *Checkpoint {
 		Step:    step,
 		Partial: partial,
 		Active:  append([]int32(nil), active...),
-		Nodes:   make([][]byte, len(e.nodes)),
+		Nodes:   make([][]byte, e.n),
 	}
-	for v, nd := range e.nodes {
-		cp.Nodes[v] = nd.(Snapshotter).SnapshotState()
+	for v := range cp.Nodes {
+		cp.Nodes[v] = e.pop.SnapshotNode(v)
 	}
 	return cp
 }
@@ -93,7 +83,7 @@ func (e *engine) boundary(step int, active []int32, partial Result) error {
 // same graph, factory, seed, topology, and PHY the checkpoint was captured
 // under.
 func (e *engine) restore(cp *Checkpoint) error {
-	n := len(e.nodes)
+	n := e.n
 	if len(cp.Nodes) != n {
 		return fmt.Errorf("radio: resume checkpoint has %d node states for %d nodes", len(cp.Nodes), n)
 	}
@@ -104,10 +94,8 @@ func (e *engine) restore(cp *Checkpoint) error {
 		}
 		prev = v
 	}
-	for v, data := range cp.Nodes {
-		if err := e.nodes[v].(Snapshotter).RestoreState(data); err != nil {
-			return fmt.Errorf("radio: resume: node %d state: %w", v, err)
-		}
+	if err := e.pop.Restore(cp.Nodes); err != nil {
+		return fmt.Errorf("radio: resume: %w", err)
 	}
 	if e.topo != nil {
 		// Force epochSync to fire at cp.Step: it installs the epoch active

@@ -9,31 +9,30 @@ import (
 )
 
 // engine is the step-loop state of a run: the frozen CSR topology, the
-// protocol instances, the physical-layer reception model, and reusable
-// scratch buffers sized once at construction so the per-step loop
-// allocates nothing. Under a dynamic
-// topology (Options.Topology) csr is the snapshot of the current epoch and
-// epochSync swaps it at epoch boundaries (re-syncing the PHY model); the
-// scratch buffers are indexed by node and the node count is fixed for the
-// whole run, so they survive every epoch unchanged.
+// run's protocol population, the physical-layer reception model, and
+// reusable scratch buffers sized once at construction so the per-step loop
+// allocates nothing. Under a dynamic topology (Options.Topology) csr is the
+// snapshot of the current epoch and epochSync swaps it at epoch boundaries
+// (re-syncing the PHY model); the scratch buffers are indexed by node and
+// the node count is fixed for the whole run, so they survive every epoch
+// unchanged.
 //
-// Sparse-delivery invariants (DESIGN.md §3): between steps every scratch
-// entry is at its zero value — payload[v]=nil, hear[v]=nil — txList/out and
-// the frontier are empty, and the model's own scratch is likewise all-zero
-// (the phy.Model.Clear contract). Each step dirties only the entries
-// reachable from this step's transmitters and resetStep restores the
-// invariant by re-zeroing exactly those, so delivery work is proportional
-// to the transmitters and the listeners they reach, never to n.
+// Sparse-delivery invariants (DESIGN.md §3): between steps txList/out and
+// the frontier are empty, and the model's own scratch is all-zero (the
+// phy.Model.Clear contract); the population keeps the same invariant over
+// its own scratch. Each step dirties only the entries reachable from this
+// step's transmitters and clearStep restores the invariant by re-zeroing
+// exactly those, so delivery work is proportional to the transmitters and
+// the listeners they reach, never to n.
 type engine struct {
 	csr       *graph.CSR
 	topo      Topology // nil for static runs
 	nextEpoch int      // step of the next topology change; -1 = static from here
-	nodes     []Protocol
+	n         int
+	pop       Population
 	opts      Options
 	model     phy.Model
 
-	payload  []Message    // payload[v]: message v transmits
-	hear     []Message    // hear[v]: message v receives (nil = silence)
 	txList   []int32      // this step's transmitters, ascending
 	frontier phy.Frontier // this step's transmitter set, fed to Resolve
 	out      phy.Outcome  // this step's reception outcome, buffers reused
@@ -49,16 +48,14 @@ type engine struct {
 	probeTx     int64
 }
 
-func newEngine(g *graph.Graph, nodes []Protocol, opts Options) (*engine, error) {
-	n := len(nodes)
+func newEngine(g *graph.Graph, n int, pop Population, opts Options) (*engine, error) {
 	e := &engine{
 		topo:      opts.Topology,
 		nextEpoch: -1,
-		nodes:     nodes,
+		n:         n,
+		pop:       pop,
 		opts:      opts,
 		model:     opts.PHY,
-		payload:   make([]Message, n),
-		hear:      make([]Message, n),
 		txList:    make([]int32, 0, n),
 	}
 	e.frontier.Resize(n)
@@ -125,11 +122,11 @@ func (e *engine) epochSync(step int) bool {
 		return false
 	}
 	csr, next := e.topo.EpochAt(step)
-	if csr.N() != len(e.nodes) {
+	if csr.N() != e.n {
 		// The Options.Topology contract fixes the node count for the whole
 		// run; a shrinking or growing epoch would corrupt the scratch
 		// arrays, so fail loudly rather than deliver garbage.
-		panic(fmt.Sprintf("radio: Topology epoch at step %d has %d nodes, run has %d", step, csr.N(), len(e.nodes)))
+		panic(fmt.Sprintf("radio: Topology epoch at step %d has %d nodes, run has %d", step, csr.N(), e.n))
 	}
 	e.csr, e.nextEpoch = csr, next
 	if err := e.model.Sync(step, e.csr); err != nil {
@@ -140,109 +137,34 @@ func (e *engine) epochSync(step int) bool {
 	return true
 }
 
-// actScan runs one step's act phase over a compacting active list: dormant
-// nodes are kept but skipped, nodes observed awake with Done() true retire
-// permanently, and every remaining node is polled, with transmitters
-// recorded into the scratch arrays and appended to tx. It returns the
-// compacted active list, the extended transmitter list, and the number of
-// transmit actions.
-func (e *engine) actScan(active []int32, step int, tx []int32) (activeOut, txOut []int32, transmits int) {
-	w := 0
-	for _, v := range active {
-		if !awake(&e.opts, int(v), step) {
-			active[w] = v // dormant: stays active, keeps the run alive
-			w++
-			continue
-		}
-		if e.nodes[v].Done() {
-			continue // retired for the remainder of the run
-		}
-		active[w] = v
-		w++
-		a := e.nodes[v].Act(step)
-		if a.Transmit {
-			e.payload[v] = a.Msg
-			tx = append(tx, v)
-			transmits++
-		}
-	}
-	return active[:w], tx, transmits
-}
-
-// deliverScan hands each live node on the list its received message (or
-// silence).
-func (e *engine) deliverScan(active []int32, step int) {
-	for _, v := range active {
-		if awake(&e.opts, int(v), step) {
-			e.nodes[v].Deliver(step, e.hear[v])
-		}
-	}
-}
-
 // newActive returns the initial active list 0..n-1. A node leaves the list
-// permanently the first time it is observed awake with Done() true; dormant
-// nodes (WakeAt in the future) stay on the list — they keep the run alive —
-// but are neither polled nor delivered to.
+// permanently the first time the population finds it done; dormant nodes
+// (WakeAt in the future) stay on the list — they keep the run alive.
 func (e *engine) newActive() []int32 {
-	active := make([]int32, len(e.nodes))
+	active := make([]int32, e.n)
 	for v := range active {
 		active[v] = int32(v)
 	}
 	return active
 }
 
-// resolveDeliveries asks the PHY model to decide reception for the observed
-// transmitter set and applies the outcome: hear is filled for decoded
-// listeners (and, under a collision-marking model, the Collision marker for
-// blocked ones) and the step stats record every reached listener —
-// including retired or dormant nodes, which hear nothing but still appear
-// in the channel-usage statistics, matching the model's global view of the
-// medium.
-func (e *engine) resolveDeliveries(st *StepStats) {
+// resolve asks the PHY model to decide reception for the step's
+// transmitter set, filling e.out, and records every reached listener in
+// the step stats — including retired or dormant nodes, which hear nothing
+// but still appear in the channel-usage statistics, matching the model's
+// global view of the medium.
+func (e *engine) resolve(st *StepStats) {
+	e.frontier.Set(e.txList)
 	e.out.Reset()
 	e.model.Resolve(&e.frontier, &e.out)
-	for _, d := range e.out.Decoded {
-		e.hear[d.To] = e.payload[d.From]
-	}
 	st.Deliveries = len(e.out.Decoded)
 	st.Collisions = len(e.out.Collided)
-	if e.out.Marker {
-		for _, v := range e.out.Collided {
-			e.hear[v] = Collision
-		}
-	}
 }
 
-// clearTx re-zeroes the per-transmitter scratch for one transmitter list.
-func (e *engine) clearTx(tx []int32) {
-	for _, v := range tx {
-		e.payload[v] = nil
-	}
-}
-
-// clearDeliveries re-zeroes the hear entries this step's outcome dirtied,
-// the model's own scratch, and the frontier, restoring the between-steps
-// invariant.
-func (e *engine) clearDeliveries() {
-	for _, d := range e.out.Decoded {
-		e.hear[d.To] = nil
-	}
-	if e.out.Marker {
-		for _, v := range e.out.Collided {
-			e.hear[v] = nil
-		}
-	}
+// clearStep empties the transmitter list and re-zeroes the model's own
+// scratch and the frontier, restoring the between-steps invariant.
+func (e *engine) clearStep() {
+	e.txList = e.txList[:0]
 	e.model.Clear()
 	e.frontier.Clear()
-}
-
-// finishAllDone is the end-of-run sweep when MaxSteps ran out: nodes off the
-// active list are done by construction, so only the remainder is polled.
-func finishAllDone(nodes []Protocol, active []int32) bool {
-	for _, v := range active {
-		if !nodes[v].Done() {
-			return false
-		}
-	}
-	return true
 }

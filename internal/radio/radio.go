@@ -12,18 +12,23 @@
 // (synchronous wake-up).
 //
 // The engine is sequential and its step loop performs no heap allocations.
-// It exploits transmission sparsity: per-step delivery cost is
-// O(#transmitters + the listeners they can reach), not O(n), and nodes whose
-// Done returns true are retired from a compacting active list and never
-// polled again. Reception semantics — who decodes what given the step's
-// transmitter set — are owned by a pluggable physical-layer model
-// (internal/phy, Options.PHY): the paper's graph collision rule is the
-// zero-overhead default, and the same engine runs the collision-detection
-// variant and geometric SINR physics. Runs are deterministic: the same
-// inputs and seed give the same transcript, which golden digests and
-// dense reference loops in the tests pin under every model. Parallelism
-// lives across runs (trials, service requests), not inside one; see
-// DESIGN.md §3/§7 for the architecture and the determinism contract.
+// It drives a run's protocol state as one Population, called once per
+// phase per step: per-node Protocol instances from a Factory (Run, RunCSR)
+// go through the one Population adapter, and a protocol that keeps its
+// state in flat arrays, like the Decay flood, implements Population itself
+// and runs through RunPopulation on the same step loop. The engine exploits
+// transmission sparsity: per-step delivery cost is O(#transmitters + the
+// listeners they can reach), not O(n), and nodes found done are retired
+// from a compacting active list and never polled again. Reception
+// semantics — who decodes what given the step's transmitter set — are
+// owned by a pluggable physical-layer model (internal/phy, Options.PHY):
+// the paper's graph collision rule is the zero-overhead default, and the
+// same engine runs the collision-detection variant and geometric SINR
+// physics. Runs are deterministic: the same inputs and seed give the same
+// transcript, which golden digests and dense reference loops in the tests
+// pin under every model. Parallelism lives across runs (trials, service
+// requests), not inside one; see DESIGN.md §3/§7 for the architecture and
+// the determinism contract.
 package radio
 
 import (
@@ -69,13 +74,15 @@ func Listen() Action { return Action{} }
 // Transmit returns a transmitting action carrying msg.
 func Transmit(msg Message) Action { return Action{Transmit: true, Msg: msg} }
 
-// Protocol is the per-node state machine interface. The engine calls, for
-// every time-step in order: Act on every live node, then Deliver on every
-// live node (with the received message, or nil when nothing was heard —
-// including always for transmitters). A node whose Done returns true before
-// a step neither transmits nor receives for the remainder of the run; the
-// engine retires such a node permanently, so Done must be monotone (once
-// true, always true) and side-effect free.
+// Protocol is the per-node state machine interface, run through the
+// engine's Factory adapter (the Population every Run and RunCSR uses). For
+// every time-step in order the adapter calls Act on every live node, then
+// Deliver on every live node (with the received message, or nil when
+// nothing was heard — including always for transmitters). A node whose
+// Done returns true before a step neither transmits nor receives for the
+// remainder of the run; the adapter retires such a node permanently, so
+// Done must be monotone (once true, always true) and side-effect free.
+// A Population must behave as if its nodes followed this contract.
 type Protocol interface {
 	Act(step int) Action
 	Deliver(step int, msg Message)
@@ -121,7 +128,8 @@ type Options struct {
 	// — neither acting nor receiving, with its local clock frozen — until
 	// step WakeAt[v]. Nil means synchronous wake-up at step 0, the paper's
 	// model (§1.1). Experiment E15 uses this to show which guarantees
-	// depend on the synchronous-wake-up assumption.
+	// depend on the synchronous-wake-up assumption. A Population that
+	// cannot honour it fails the run from Start.
 	WakeAt []int
 	// Topology, when non-nil, makes the run dynamic: the engine consults it
 	// at epoch boundaries (and only there — between boundaries the step
@@ -141,8 +149,8 @@ type Options struct {
 	// no boundaries), captured before the boundary step's act phase. A
 	// non-nil error aborts the run immediately with that error: a run must
 	// not outpace a journal that failed to record it (and the chaos suite
-	// injects worker death here). Requires every protocol to implement
-	// Snapshotter. Nil — the default — adds zero allocations and one
+	// injects worker death here). Factory runs require every protocol to
+	// implement Snapshotter. Nil — the default — adds zero allocations and one
 	// comparison per epoch to the step loop (DESIGN.md §8).
 	Checkpoint func(cp *Checkpoint) error
 	// Snapshot, when non-nil, observes the same epoch-boundary engine
@@ -151,8 +159,8 @@ type Options struct {
 	// prefix cache (DESIGN.md §9) — where a failed publication costs future
 	// resume depth, never correctness. When both Snapshot and Checkpoint are
 	// armed they receive the same *Checkpoint value per boundary (one
-	// capture serves both) and must treat it as immutable. Requires every
-	// protocol to implement Snapshotter, like Checkpoint.
+	// capture serves both) and must treat it as immutable. Factory runs
+	// require every protocol to implement Snapshotter, like Checkpoint.
 	Snapshot func(cp *Checkpoint)
 	// Resume, when non-nil, starts the run from the given checkpoint
 	// instead of step 0: protocol states are restored, the active list and
@@ -245,7 +253,7 @@ func Run(g *graph.Graph, factory Factory, opts Options) (Result, error) {
 	if g == nil {
 		return Result{}, fmt.Errorf("radio: nil graph")
 	}
-	return run(g, g.N(), factory, opts)
+	return run(g, g.N(), &perNode{factory: factory}, opts)
 }
 
 // RunCSR simulates the protocol directly on a frozen CSR snapshot — the
@@ -260,11 +268,7 @@ func RunCSR(csr *graph.CSR, factory Factory, opts Options) (Result, error) {
 	if csr == nil {
 		return Result{}, fmt.Errorf("radio: nil topology snapshot")
 	}
-	if opts.Topology != nil {
-		return Result{}, fmt.Errorf("radio: RunCSR installs the snapshot as the run's topology; Options.Topology must be nil")
-	}
-	opts.Topology = staticCSR{csr}
-	return run(nil, csr.N(), factory, opts)
+	return RunPopulation(csr, &perNode{factory: factory}, opts)
 }
 
 // staticCSR adapts one frozen snapshot to the Topology interface: a single
@@ -274,15 +278,18 @@ type staticCSR struct{ csr *graph.CSR }
 // EpochAt implements Topology.
 func (s staticCSR) EpochAt(step int) (*graph.CSR, int) { return s.csr, -1 }
 
-// run validates the options shared by Run and RunCSR and starts the engine.
-// g is nil on the graph-free path — the engine touches it only through
-// newEngine, which freezes it solely when no Topology is installed.
-func run(g *graph.Graph, n int, factory Factory, opts Options) (Result, error) {
+// run validates the options shared by every entry point, starts the
+// population and runs the engine. g is nil on the graph-free paths — the
+// engine touches it only through newEngine, which freezes it solely when no
+// Topology is installed.
+func run(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
 	if opts.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("radio: MaxSteps must be positive, got %d", opts.MaxSteps)
 	}
-	nodes, err := buildNodes(n, factory, opts)
-	if err != nil {
+	if n == 0 {
+		return Result{}, fmt.Errorf("radio: empty graph")
+	}
+	if err := pop.Start(n, &opts); err != nil {
 		return Result{}, err
 	}
 	if opts.WakeAt != nil && len(opts.WakeAt) != n {
@@ -297,42 +304,13 @@ func run(g *graph.Graph, n int, factory Factory, opts Options) (Result, error) {
 			return Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", csr.N(), n)
 		}
 	}
-	if opts.PHY == nil {
-		opts.PHY = phy.NewCollision()
-	}
-	if opts.Checkpoint != nil || opts.Snapshot != nil || opts.Resume != nil {
-		if err := requireSnapshotters(nodes); err != nil {
-			return Result{}, err
-		}
-	}
 	if cp := opts.Resume; cp != nil {
 		if cp.Step < 0 || cp.Step >= opts.MaxSteps {
 			return Result{}, fmt.Errorf("radio: resume step %d outside [0, MaxSteps=%d)", cp.Step, opts.MaxSteps)
 		}
 	}
-	return runSequential(g, nodes, opts)
-}
-
-// awake reports whether node v participates at the given step.
-func awake(opts *Options, v, step int) bool {
-	return opts.WakeAt == nil || step >= opts.WakeAt[v]
-}
-
-func buildNodes(n int, factory Factory, opts Options) ([]Protocol, error) {
-	if n == 0 {
-		return nil, fmt.Errorf("radio: empty graph")
+	if opts.PHY == nil {
+		opts.PHY = phy.NewCollision()
 	}
-	estN := opts.N
-	if estN <= 0 {
-		estN = n
-	}
-	root := xrand.New(opts.Seed)
-	nodes := make([]Protocol, n)
-	for v := 0; v < n; v++ {
-		nodes[v] = factory(NodeInfo{Index: v, N: estN, RNG: root.Split(uint64(v))})
-		if nodes[v] == nil {
-			return nil, fmt.Errorf("radio: factory returned nil protocol for node %d", v)
-		}
-	}
-	return nodes, nil
+	return runSequential(g, n, pop, opts)
 }

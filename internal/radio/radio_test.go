@@ -182,6 +182,13 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(g, func(NodeInfo) Protocol { return nil }, Options{MaxSteps: 1}); err == nil {
 		t.Fatal("want error for nil protocol")
 	}
+	pop := &perNode{factory: func(NodeInfo) Protocol { return newScriptNode(0, nil) }}
+	if _, err := RunPopulation(nil, pop, Options{MaxSteps: 1}); err == nil {
+		t.Fatal("want error for a population run without a topology")
+	}
+	if _, err := RunPopulation(g.Freeze(), pop, Options{MaxSteps: 1, Topology: staticCSR{g.Freeze()}}); err == nil {
+		t.Fatal("want error for a snapshot beside Options.Topology")
+	}
 }
 
 func TestNodeInfoEstimates(t *testing.T) {

@@ -10,10 +10,11 @@ import (
 )
 
 // runDelivery drives the engine's delivery core for one synthetic step: it
-// loads the given transmit set, runs the PHY resolve pass over the
-// frontier, hands a copy of hear to the caller, then resets the step and
-// verifies the between-steps invariant (all engine scratch re-zeroed; a
-// second resolve must see an empty medium).
+// loads the given transmit set into the Factory adapter's scratch, runs the
+// PHY resolve pass over the frontier, hands a copy of hear to the caller,
+// then resets the step and verifies the between-steps invariant (all
+// engine and adapter scratch re-zeroed; a second resolve must see an empty
+// medium).
 func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Message, cd bool) ([]Message, StepStats) {
 	t.Helper()
 	n := g.N()
@@ -21,27 +22,28 @@ func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Me
 	if cd {
 		opts.PHY = phy.NewCollisionCD()
 	}
-	e, err := newEngine(g, make([]Protocol, n), opts)
+	p := &perNode{payload: make([]Message, n), hear: make([]Message, n)}
+	e, err := newEngine(g, n, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < n; v++ {
 		if transmitting[v] {
-			e.payload[v] = payload[v]
+			p.payload[v] = payload[v]
 			e.txList = append(e.txList, int32(v))
 		}
 	}
+	p.tx = e.txList
 	st := StepStats{}
-	e.frontier.Set(e.txList)
-	e.resolveDeliveries(&st)
+	e.resolve(&st)
+	p.receive(&e.out)
 	hear := make([]Message, n)
-	copy(hear, e.hear)
-	e.clearTx(e.txList)
-	e.txList = e.txList[:0]
-	e.clearDeliveries()
+	copy(hear, p.hear)
+	p.clear(&e.out)
+	e.clearStep()
 	for v := 0; v < n; v++ {
-		if e.frontier.Has(int32(v)) || e.payload[v] != nil || e.hear[v] != nil {
-			t.Fatalf("scratch not re-zeroed at node %d after resetStep", v)
+		if e.frontier.Has(int32(v)) || p.payload[v] != nil || p.hear[v] != nil {
+			t.Fatalf("scratch not re-zeroed at node %d after the step", v)
 		}
 	}
 	if len(e.txList) != 0 {
@@ -50,11 +52,11 @@ func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Me
 	// The model's own scratch must be clean too: resolving the empty
 	// transmitter set must produce an empty outcome.
 	var empty StepStats
-	e.resolveDeliveries(&empty)
+	e.resolve(&empty)
 	if empty.Deliveries != 0 || empty.Collisions != 0 {
 		t.Fatalf("model scratch not re-zeroed: empty step resolved to %+v", empty)
 	}
-	e.clearDeliveries()
+	e.clearStep()
 	return hear, st
 }
 

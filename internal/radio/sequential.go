@@ -2,15 +2,17 @@ package radio
 
 import "repro/internal/graph"
 
-// runSequential is the single-threaded engine. After the engine struct is
-// built, the step loop performs zero heap allocations (a regression test
-// asserts this): the active list compacts in place, transmitters go into a
-// preallocated scratch list, the PHY model's reception pass works off its
-// own preallocated scratch, and only entries dirtied this step are
+// runSequential is the single-threaded engine, and the one step loop every
+// entry point runs: per step it calls the population's act phase, the PHY
+// resolve and the population's deliver phase once each. After the engine
+// struct is built the loop performs zero heap allocations (regression
+// tests assert this): the active list compacts in place, transmitters go
+// into a preallocated scratch list, the PHY model's reception pass works
+// off its own preallocated scratch, and only entries dirtied this step are
 // re-zeroed. Per-step cost is O(#active + #transmitters + the listeners
-// they reach).
-func runSequential(g *graph.Graph, nodes []Protocol, opts Options) (Result, error) {
-	e, err := newEngine(g, nodes, opts)
+// they reach) plus whatever the population spends.
+func runSequential(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
+	e, err := newEngine(g, n, pop, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -41,20 +43,19 @@ func runSequential(g *graph.Graph, nodes []Protocol, opts Options) (Result, erro
 				e.fireProbe(step, len(active), res, false)
 			}
 		}
-		// Act phase: retire done nodes, poll the rest.
-		active, e.txList, st.Transmits = e.actScan(active, step, e.txList)
+		// Act phase: the population retires its done nodes and names the
+		// step's transmitters.
+		active, e.txList = pop.Act(step, active, e.txList)
+		st.Transmits = len(e.txList)
 		if len(active) == 0 {
 			res.AllDone = true
 			break
 		}
-		// Delivery: the PHY model decides reception for the transmitter set.
-		e.frontier.Set(e.txList)
-		e.resolveDeliveries(&st)
-		// Deliver phase: every live node receives its message (or silence).
-		e.deliverScan(active, step)
-		e.clearTx(e.txList)
-		e.txList = e.txList[:0]
-		e.clearDeliveries()
+		// Delivery: the PHY model decides reception for the transmitter
+		// set, and every live node receives its message (or silence).
+		e.resolve(&st)
+		pop.Deliver(step, active, &e.out)
+		e.clearStep()
 		res.Steps = step + 1
 		res.Transmissions += int64(st.Transmits)
 		res.Deliveries += int64(st.Deliveries)
@@ -64,7 +65,7 @@ func runSequential(g *graph.Graph, nodes []Protocol, opts Options) (Result, erro
 		}
 	}
 	if !res.AllDone {
-		res.AllDone = finishAllDone(e.nodes, active)
+		res.AllDone = pop.AllDone(active)
 	}
 	// Final probe sample: static runs have no boundaries, so this is the
 	// one place every probed run is guaranteed a sample.

@@ -12,12 +12,16 @@ package serve
 // answer.
 
 import (
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sync"
 
+	"repro/internal/dyn"
 	"repro/internal/exp"
+	"repro/internal/gen"
 )
 
 // snapKey content-addresses one (spec prefix, epoch, trial) snapshot.
@@ -109,15 +113,17 @@ func (s *Service) publishSnapshot(sp Spec, prefixHash string, trial int, cp *exp
 }
 
 // armPrefix attaches the prefix-cache hooks to o: publish fresh snapshots
-// at every epoch boundary, and resume the plan's trials from their cached
-// snapshots. Publication is armed even on a cold run — that is how the
-// first variant of a sweep seeds the cache for the rest.
+// at every epoch boundary, resume the plan's trials from their cached
+// snapshots, and take each trial's schedule from the schedule memo.
+// Publication is armed even on a cold run — that is how the first variant
+// of a sweep seeds the cache for the rest.
 func (s *Service) armPrefix(sp Spec, plan *prefixPlan, o *ExecOptions) {
 	if !s.prefixEligible(sp) {
 		return
 	}
 	ph := sp.PrefixHash()
 	o.OnSnapshot = func(trial int, cp *exp.FloodCheckpoint) { s.publishSnapshot(sp, ph, trial, cp) }
+	o.Schedule = s.scheds.schedule
 	if plan != nil {
 		o.ResumeFrom = plan.resume
 	}
@@ -174,4 +180,75 @@ func (s *Service) runWarm(plan *prefixPlan, run func(plan *prefixPlan) ([]byte, 
 	s.prefixHits.Add(1)
 	s.prefixEpochs.Add(uint64(plan.epochsSaved))
 	return b, false, true, nil
+}
+
+// scheduleMemoBytes bounds the snapshot bytes the schedule memo keeps.
+const scheduleMemoBytes = 64 << 20
+
+// scheduleMemo keeps the schedule generators (dyn.Grower) of recent
+// prefix-cacheable trials, keyed by everything a trial's schedule depends
+// on except its epoch count. The variants of an Epochs sweep thus share one
+// grower per trial, and each epoch is drawn and frozen once, not once per
+// variant: a variant resumed from a snapshot would otherwise rebuild every
+// epoch before its resume point. It is an LRU bounded by the growers'
+// snapshot bytes; an evicted grower is simply rebuilt on the next request.
+type scheduleMemo struct {
+	mu    sync.Mutex
+	max   int64
+	ll    *list.List // front = most recently used; values *memoEntry
+	byKey map[string]*list.Element
+}
+
+type memoEntry struct {
+	key string
+	gr  *dyn.Grower
+}
+
+func newScheduleMemo(maxBytes int64) *scheduleMemo {
+	return &scheduleMemo{max: maxBytes, ll: list.New(), byKey: make(map[string]*list.Element)}
+}
+
+// schedule is gen.ScheduleByName(sp.Graph, sp.N, sp.Epochs, sp.EpochLen,
+// sp.Rate, seed), built through the memo's grower when the spec has one.
+func (m *scheduleMemo) schedule(sp Spec, seed uint64) (*dyn.Schedule, error) {
+	key := fmt.Sprintf("%s|n=%d|epochlen=%d|rate=%v|seed=%d", sp.Graph, sp.N, sp.EpochLen, sp.Rate, seed)
+	m.mu.Lock()
+	el, ok := m.byKey[key]
+	if ok {
+		m.ll.MoveToFront(el)
+	} else {
+		gr, err := gen.ScheduleGrower(sp.Graph, sp.N, sp.EpochLen, sp.Rate, seed)
+		if err != nil || gr == nil {
+			m.mu.Unlock()
+			if err != nil {
+				return nil, err
+			}
+			return gen.ScheduleByName(sp.Graph, sp.N, sp.Epochs, sp.EpochLen, sp.Rate, seed)
+		}
+		el = m.ll.PushFront(&memoEntry{key: key, gr: gr})
+		m.byKey[key] = el
+	}
+	gr := el.Value.(*memoEntry).gr
+	m.mu.Unlock()
+	sched := gr.Upto(sp.Epochs)
+	m.trim()
+	return sched, nil
+}
+
+// trim keeps the most recently used growers that fit the byte bound
+// together and evicts the rest (possibly all: the caller keeps its
+// schedule regardless).
+func (m *scheduleMemo) trim() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var total int64
+	for el := m.ll.Front(); el != nil; {
+		next := el.Next()
+		e := el.Value.(*memoEntry)
+		if total += e.gr.MemBytes(); total > m.max {
+			m.ll.Remove(el)
+			delete(m.byKey, e.key)
+		}
+		el = next
+	}
 }

@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"repro/internal/exp"
+	"repro/internal/gen"
 )
 
 // sweepSpec is the suite's base scenario; variants differ only in the tail
@@ -376,5 +377,54 @@ func TestServiceTornSnapshotWriteInvisible(t *testing.T) {
 	}
 	if stats := s2.Stats(); stats.SnapQuarantined == 0 {
 		t.Fatalf("stats %+v, want the torn entry quarantined", stats)
+	}
+}
+
+// The schedule memo returns ScheduleByName's schedule for every variant of
+// a sweep, in any Epochs order, from one grower per trial seed; specs
+// without a grower fall back to a plain build, and a grower over the byte
+// bound is dropped without changing what the caller gets.
+func TestScheduleMemoMatchesScheduleByName(t *testing.T) {
+	check := func(m *scheduleMemo, sp Spec, seed uint64) {
+		t.Helper()
+		c, err := sp.Canonicalize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := m.schedule(c, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gen.ScheduleByName(c.Graph, c.N, c.Epochs, c.EpochLen, c.Rate, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Epochs() != want.Epochs() {
+			t.Fatalf("%s seed %d: %d epochs, want %d", c, seed, got.Epochs(), want.Epochs())
+		}
+		for i := 0; i < want.Epochs(); i++ {
+			if got.Start(i) != want.Start(i) || !got.CSR(i).Equal(want.CSR(i)) {
+				t.Fatalf("%s seed %d: epoch %d differs", c, seed, i)
+			}
+		}
+	}
+	m := newScheduleMemo(scheduleMemoBytes)
+	for _, e := range []int{5, 3, 8, 8, 1} {
+		check(m, sweepSpec(e), 41)
+	}
+	check(m, sweepSpec(4), 42)
+	if len(m.byKey) != 2 {
+		t.Fatalf("memo holds %d growers after two trial seeds, want 2", len(m.byKey))
+	}
+	mobile := sweepSpec(4)
+	mobile.Graph = "mobile:udg"
+	check(m, mobile, 41)
+	if len(m.byKey) != 2 {
+		t.Fatalf("memo holds %d growers after a mobile spec, want 2 (no grower)", len(m.byKey))
+	}
+	tiny := newScheduleMemo(1)
+	check(tiny, sweepSpec(6), 41)
+	if len(tiny.byKey) != 0 || tiny.ll.Len() != 0 {
+		t.Fatal("a grower over the byte bound stayed in the memo")
 	}
 }

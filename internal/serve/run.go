@@ -14,8 +14,10 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/dyn"
 	"repro/internal/exp"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/mis"
 	"repro/internal/radio"
 	"repro/internal/stats"
@@ -82,6 +84,11 @@ type ExecOptions struct {
 	// each trial's epoch-boundary snapshots advisorily (cannot abort the
 	// run) — the prefix-cache publication hook.
 	OnSnapshot func(trial int, cp *exp.FloodCheckpoint)
+	// Schedule, when non-nil and the spec is a flood, builds each trial's
+	// topology schedule (spec, trial seed) in place of gen.ScheduleByName,
+	// and must return exactly what ScheduleByName would — the prefix
+	// cache's schedule memo (DESIGN.md §9).
+	Schedule func(sp Spec, seed uint64) (*dyn.Schedule, error)
 	// OnProbe, when non-nil and the spec is a flood, observes each trial's
 	// engine-load samples (radio.Options.Probe contract: epoch boundaries
 	// plus one final sample; the sample is reused — copy out what you keep).
@@ -118,7 +125,8 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 	grid := exp.NewGrid(c.GridID())
 	tf := trialFunc(c)
 	hooked := c.Algo == "flood" &&
-		(o.OnCheckpoint != nil || o.Resume != nil || o.OnSnapshot != nil || o.OnProbe != nil || len(o.ResumeFrom) > 0)
+		(o.OnCheckpoint != nil || o.Resume != nil || o.OnSnapshot != nil || o.OnProbe != nil ||
+			o.Schedule != nil || len(o.ResumeFrom) > 0)
 	for i := 0; i < c.Reps; i++ {
 		if !hooked {
 			grid.Add(c.Algo, tf)
@@ -142,7 +150,7 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 			if o.Resume != nil && i == o.ResumeTrial {
 				resume = o.Resume
 			}
-			return floodTrial(c, seed, onCkpt, onSnap, onProbe, resume)
+			return floodTrial(c, seed, o.Schedule, onCkpt, onSnap, onProbe, resume)
 		})
 	}
 	samples, err := grid.Run(exp.Config{
@@ -171,7 +179,7 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 func trialFunc(sp Spec) exp.TrialFunc {
 	return func(seed uint64) (exp.Sample, error) {
 		if sp.Algo == "flood" {
-			return floodTrial(sp, seed, nil, nil, nil, nil)
+			return floodTrial(sp, seed, nil, nil, nil, nil, nil)
 		}
 		if _, _, isPhy := gen.SplitPhySpec(sp.Graph); isPhy {
 			return phyTrial(sp, seed)
@@ -287,16 +295,22 @@ func phyTrial(sp Spec, seed uint64) (exp.Sample, error) {
 // floodTrial runs the dynamic-topology flood (exp.RunFlood — the same
 // runner E17–E21 and radionet-sim use) for one replica. On a phy: spec the
 // schedule is static and the flood runs under the spec's reception model.
-// onCkpt, onSnap, and resume thread the crash-safety and prefix-cache
-// hooks into the flood run; all are nil outside journaled jobs and prefix
-// runs (a static schedule has no epoch boundaries, so they are inert
-// there). A resume snapshot that doesn't fit this run — captured past the
+// schedule (nil = gen.ScheduleByName) builds the trial's schedule; onCkpt,
+// onSnap, and resume thread the crash-safety and prefix-cache hooks into
+// the flood run; all are nil outside journaled jobs and prefix runs (a
+// static schedule has no epoch boundaries, so they are inert there). A resume snapshot that doesn't fit this run — captured past the
 // budget (possible when it came from a longer sweep variant) or with a
 // different node count (a corrupted or mismatched cache entry that slipped
 // the checksum) — is dropped, not an error: the trial runs cold, which is
 // always correct.
-func floodTrial(sp Spec, seed uint64, onCkpt func(cp *exp.FloodCheckpoint) error, onSnap func(cp *exp.FloodCheckpoint), onProbe func(s *radio.ProbeSample), resume *exp.FloodCheckpoint) (exp.Sample, error) {
-	sched, err := gen.ScheduleByName(sp.Graph, sp.N, sp.Epochs, sp.EpochLen, sp.Rate, seed)
+func floodTrial(sp Spec, seed uint64, schedule func(Spec, uint64) (*dyn.Schedule, error), onCkpt func(cp *exp.FloodCheckpoint) error, onSnap func(cp *exp.FloodCheckpoint), onProbe func(s *radio.ProbeSample), resume *exp.FloodCheckpoint) (exp.Sample, error) {
+	var sched *dyn.Schedule
+	var err error
+	if schedule != nil {
+		sched, err = schedule(sp, seed)
+	} else {
+		sched, err = gen.ScheduleByName(sp.Graph, sp.N, sp.Epochs, sp.EpochLen, sp.Rate, seed)
+	}
 	if err != nil {
 		return exp.Sample{}, err
 	}
@@ -311,7 +325,9 @@ func floodTrial(sp Spec, seed uint64, onCkpt func(cp *exp.FloodCheckpoint) error
 			resume = nil
 		}
 	}
-	g := sched.CSR(0).Graph()
+	// The run follows sched; g only sizes the flood, so share epoch 0's
+	// arrays rather than copying them into a mutable graph.
+	g := graph.FromCSR(sched.CSR(0))
 	out, err := exp.RunFlood(g, sched, map[int]int64{sp.Source % n: 1}, exp.FloodConfig{
 		Budget: budget, ProbeStep: -1, Seed: seed, PHY: model,
 		OnCheckpoint: onCkpt, OnSnapshot: onSnap, Probe: onProbe, Resume: resume,

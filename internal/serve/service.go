@@ -234,6 +234,7 @@ type Service struct {
 	jr           *journal     // nil when ephemeral
 	sf           flightGroup
 	pf           flightGroup   // prefix leaders, keyed by PrefixHash
+	scheds       *scheduleMemo // prefix trials' schedule generators; nil when ephemeral
 	slots        chan struct{} // execution semaphore, capacity cfg.Workers
 	queue        chan *job
 	syncPending  atomic.Int64 // admitted non-cache-hit sync requests
@@ -323,6 +324,7 @@ func Open(cfg Config) (*Service, error) {
 		snaps.SetMetrics(s.met.storeMetrics(keyspaceSnap))
 		jr.met = s.met.journalMetrics()
 		s.st, s.snaps, s.jr, s.seq = st, snaps, jr, maxSeq
+		s.scheds = newScheduleMemo(scheduleMemoBytes)
 		recovered = jobs
 	}
 	interrupted := 0
