@@ -65,17 +65,13 @@ type FloodConfig struct {
 	OnStep func(step, informed int)
 	// OnCheckpoint, when non-nil, receives a resumable snapshot at every
 	// topology epoch boundary (dynamic runs only — a static flood has no
-	// boundaries and is simply re-run from scratch after a crash). A non-nil
-	// error aborts the run with that error, mirroring the
-	// radio.Options.Checkpoint contract.
+	// boundaries and is simply re-run from scratch after a crash). It is the
+	// flood's one boundary hook, radio.Options.Checkpoint lifted to the
+	// harness: a non-nil error aborts the run with that error, and a
+	// consumer that only observes returns nil. The serve layer chains its
+	// prefix-cache publication and its journal here (DESIGN.md §8, §9);
+	// chained consumers share the one snapshot and must not mutate it.
 	OnCheckpoint func(cp *FloodCheckpoint) error
-	// OnSnapshot, when non-nil, observes the same epoch-boundary snapshots
-	// advisorily: the hook cannot abort the run, mirroring the
-	// radio.Options.Snapshot contract. The serve layer publishes these into
-	// its prefix-snapshot cache (DESIGN.md §9). When both hooks are armed
-	// they observe distinct FloodCheckpoint wrappers around the same engine
-	// checkpoint; receivers must not mutate it.
-	OnSnapshot func(cp *FloodCheckpoint)
 	// Resume, when non-nil, continues the flood from the given snapshot
 	// instead of step 0. The caller must supply the same graph, topology,
 	// sources, and FloodConfig the snapshot was captured under; the outcome
@@ -167,11 +163,6 @@ func runFlood(n int, topo radio.Topology, sources map[int]int64, cfg FloodConfig
 			// steps before ecp.Step — the two snapshot halves are
 			// consistent by construction.
 			return cfg.OnCheckpoint(&FloodCheckpoint{Engine: ecp, Partial: sofar()})
-		}
-	}
-	if cfg.OnSnapshot != nil {
-		opts.Snapshot = func(ecp *radio.Checkpoint) {
-			cfg.OnSnapshot(&FloodCheckpoint{Engine: ecp, Partial: sofar()})
 		}
 	}
 	if _, err := engine(fl, opts); err != nil {

@@ -56,22 +56,14 @@ func (e *engine) capture(step int, active []int32, partial Result) *Checkpoint {
 	return cp
 }
 
-// boundary fires the epoch-boundary hooks off a single capture. Snapshot is
-// advisory — its receiver publishes into a cache, and losing a publication
-// costs future resume depth, never correctness — so it cannot abort the run.
-// A Checkpoint hook error aborts the run: a checkpoint that cannot be
+// boundary captures the run at step and hands the snapshot to the
+// Checkpoint hook. A hook error aborts the run: a checkpoint that cannot be
 // persisted must not let the run race ahead of its journal, and the chaos
-// harness injects worker death here. When both hooks are armed they observe
-// the same *Checkpoint value and must treat it as immutable.
+// harness injects worker death here. An observing consumer (prefix-cache
+// publication) returns nil from its part of the hook, so it never aborts.
 func (e *engine) boundary(step int, active []int32, partial Result) error {
-	cp := e.capture(step, active, partial)
-	if e.opts.Snapshot != nil {
-		e.opts.Snapshot(cp)
-	}
-	if e.opts.Checkpoint != nil {
-		if err := e.opts.Checkpoint(cp); err != nil {
-			return fmt.Errorf("radio: checkpoint at step %d aborted the run: %w", step, err)
-		}
+	if err := e.opts.Checkpoint(e.capture(step, active, partial)); err != nil {
+		return fmt.Errorf("radio: checkpoint at step %d aborted the run: %w", step, err)
 	}
 	return nil
 }
@@ -97,9 +89,11 @@ func (e *engine) restore(cp *Checkpoint) error {
 	if err := e.pop.Restore(cp.Nodes); err != nil {
 		return fmt.Errorf("radio: resume: %w", err)
 	}
-	if e.topo != nil {
-		// Force epochSync to fire at cp.Step: it installs the epoch active
-		// there and re-syncs the PHY model at the resume step.
+	if e.nextEpoch >= 0 {
+		// The topology changes after step 0: force epochSync to fire at
+		// cp.Step, installing the epoch active there and re-syncing the PHY
+		// model at the resume step. A static topology (single epoch) has no
+		// boundaries to re-fire, resumed or not.
 		e.nextEpoch = cp.Step
 	}
 	// Start the probe's rate window at the resume point, not step 0, so the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/dyn"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/xrand"
 )
 
@@ -277,5 +278,76 @@ func TestResumeValidation(t *testing.T) {
 	bad.Active = []int32{3, 2}
 	if _, _, _, err := runCkptFlood(t, Options{Topology: sched, Resume: &bad}, n, budget); err == nil {
 		t.Error("non-ascending active list accepted")
+	}
+}
+
+// sameEvery is a Topology that re-installs one snapshot every `every`
+// steps: dynamic in form, static in content, so its boundary checkpoints
+// are valid resume points for a static run on that snapshot.
+type sameEvery struct {
+	csr   *graph.CSR
+	every int
+}
+
+func (s sameEvery) EpochAt(step int) (*graph.CSR, int) {
+	return s.csr, (step/s.every + 1) * s.every
+}
+
+// TestStaticResumeFiresNoBoundary pins that a resumed static run has no
+// epoch boundaries on either static entry point: Run(g) and RunCSR(csr)
+// both fire no Checkpoint and exactly one Probe sample, the final one, and
+// both end with the uninterrupted run's Result.
+func TestStaticResumeFiresNoBoundary(t *testing.T) {
+	g := gen.Grid(6, 6)
+	budget := 64
+	factory := func(info NodeInfo) Protocol {
+		nd := &ckptFlood{budget: budget, quitAfter: budget, levels: 6, rng: info.RNG, log: new([]ckptEvent)}
+		if info.Index == 0 {
+			nd.best, nd.has = 1, true
+		}
+		return nd
+	}
+	base := Options{MaxSteps: budget, Seed: 0xc0ffee}
+	want, err := Run(g, factory, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cp *Checkpoint
+	capture := base
+	capture.Topology = sameEvery{g.Freeze(), 8}
+	capture.Checkpoint = func(c *Checkpoint) error { cp = c; return nil }
+	if _, err := Run(g, factory, capture); err != nil {
+		t.Fatal(err)
+	}
+	if cp == nil || cp.Step != 56 {
+		t.Fatalf("last boundary checkpoint %+v, want one at step 56", cp)
+	}
+	entries := []struct {
+		name string
+		run  func(Options) (Result, error)
+	}{
+		{"Run", func(o Options) (Result, error) { return Run(g, factory, o) }},
+		{"RunCSR", func(o Options) (Result, error) { return RunCSR(g.Freeze(), factory, o) }},
+	}
+	for _, entry := range entries {
+		var probes []ProbeSample
+		ckpts := 0
+		o := base
+		o.Resume = cp
+		o.Checkpoint = func(*Checkpoint) error { ckpts++; return nil }
+		o.Probe = func(s *ProbeSample) { probes = append(probes, *s) }
+		res, err := entry.run(o)
+		if err != nil {
+			t.Fatalf("%s: %v", entry.name, err)
+		}
+		if ckpts != 0 {
+			t.Errorf("%s: %d checkpoints on a static resume, want 0", entry.name, ckpts)
+		}
+		if len(probes) != 1 || !probes[0].Final {
+			t.Errorf("%s: probe samples %+v, want exactly one final sample", entry.name, probes)
+		}
+		if res != want {
+			t.Errorf("%s: resumed Result %+v, uninterrupted %+v", entry.name, res, want)
+		}
 	}
 }

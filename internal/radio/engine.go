@@ -26,7 +26,7 @@ import (
 // the listeners they reach, never to n.
 type engine struct {
 	csr       *graph.CSR
-	topo      Topology // nil for static runs
+	topo      Topology // a static run's is one staticCSR epoch
 	nextEpoch int      // step of the next topology change; -1 = static from here
 	n         int
 	pop       Population
@@ -48,7 +48,7 @@ type engine struct {
 	probeTx     int64
 }
 
-func newEngine(g *graph.Graph, n int, pop Population, opts Options) (*engine, error) {
+func newEngine(n int, pop Population, opts Options) (*engine, error) {
 	e := &engine{
 		topo:      opts.Topology,
 		nextEpoch: -1,
@@ -61,11 +61,7 @@ func newEngine(g *graph.Graph, n int, pop Population, opts Options) (*engine, er
 	e.frontier.Resize(n)
 	e.out.Decoded = make([]phy.Decode, 0, n)
 	e.out.Collided = make([]int32, 0, n)
-	if e.topo != nil {
-		e.csr, e.nextEpoch = e.topo.EpochAt(0)
-	} else {
-		e.csr = g.Freeze()
-	}
+	e.csr, e.nextEpoch = e.topo.EpochAt(0)
 	if err := e.model.Sync(0, e.csr); err != nil {
 		return nil, fmt.Errorf("radio: %s model rejected the run: %w", e.model.Name(), err)
 	}

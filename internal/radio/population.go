@@ -61,13 +61,13 @@ func RunPopulation(csr *graph.CSR, pop Population, opts Options) (Result, error)
 		return Result{}, fmt.Errorf("radio: the snapshot is the run's topology; Options.Topology must be nil")
 	case csr != nil:
 		opts.Topology = staticCSR{csr}
-		return run(nil, csr.N(), pop, opts)
+		return run(csr.N(), pop, opts)
 	case opts.Topology != nil:
 		csr, _ := opts.Topology.EpochAt(0)
 		if csr == nil {
 			return Result{}, fmt.Errorf("radio: Topology has no epoch at step 0")
 		}
-		return run(nil, csr.N(), pop, opts)
+		return run(csr.N(), pop, opts)
 	}
 	return Result{}, fmt.Errorf("radio: RunPopulation needs a snapshot or Options.Topology")
 }
@@ -102,7 +102,7 @@ func (p *perNode) Start(n int, opts *Options) error {
 			return fmt.Errorf("radio: factory returned nil protocol for node %d", v)
 		}
 	}
-	if opts.Checkpoint != nil || opts.Snapshot != nil || opts.Resume != nil {
+	if opts.Checkpoint != nil || opts.Resume != nil {
 		for v, nd := range p.nodes {
 			if _, ok := nd.(Snapshotter); !ok {
 				return fmt.Errorf("radio: checkpoint/resume requires every protocol to implement Snapshotter; node %d (%T) does not", v, nd)

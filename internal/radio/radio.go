@@ -144,24 +144,20 @@ type Options struct {
 	// deterministic schedules implementing this interface; see DESIGN.md §5
 	// for the epoch semantics and the determinism contract.
 	Topology Topology
-	// Checkpoint, when non-nil, receives a resumable engine snapshot at
-	// every topology epoch boundary (dynamic runs only — static runs have
-	// no boundaries), captured before the boundary step's act phase. A
-	// non-nil error aborts the run immediately with that error: a run must
-	// not outpace a journal that failed to record it (and the chaos suite
-	// injects worker death here). Factory runs require every protocol to
-	// implement Snapshotter. Nil — the default — adds zero allocations and one
-	// comparison per epoch to the step loop (DESIGN.md §8).
+	// Checkpoint, when non-nil, is the run's one epoch-boundary hook: it
+	// receives a resumable engine snapshot at every topology epoch boundary
+	// (dynamic runs only — static runs have no boundaries), captured before
+	// the boundary step's act phase. A non-nil error aborts the run
+	// immediately with that error: a run must not outpace a journal that
+	// failed to record it (and the chaos suite injects worker death here).
+	// A hook that only observes — publishing into a prefix cache
+	// (DESIGN.md §9), where a failed publication costs future resume depth,
+	// never correctness — returns nil. The hook owns the *Checkpoint it
+	// receives; when it chains several consumers they share that one value
+	// and must treat it as immutable. Factory runs require every protocol to
+	// implement Snapshotter. Nil — the default — adds zero allocations and
+	// one comparison per epoch to the step loop (DESIGN.md §8).
 	Checkpoint func(cp *Checkpoint) error
-	// Snapshot, when non-nil, observes the same epoch-boundary engine
-	// snapshots as Checkpoint, but advisorily: the hook returns nothing and
-	// cannot abort the run. It exists for snapshot publication — seeding a
-	// prefix cache (DESIGN.md §9) — where a failed publication costs future
-	// resume depth, never correctness. When both Snapshot and Checkpoint are
-	// armed they receive the same *Checkpoint value per boundary (one
-	// capture serves both) and must treat it as immutable. Factory runs
-	// require every protocol to implement Snapshotter, like Checkpoint.
-	Snapshot func(cp *Checkpoint)
 	// Resume, when non-nil, starts the run from the given checkpoint
 	// instead of step 0: protocol states are restored, the active list and
 	// cumulative counters are reinstated, and the loop continues at
@@ -170,14 +166,15 @@ type Options struct {
 	// the final Result is then byte-identical to the uninterrupted run's.
 	Resume *Checkpoint
 	// Probe, when non-nil, receives an advisory load sample at every
-	// topology epoch boundary (immediately after any Checkpoint/Snapshot
-	// capture) and once more after the run's final step. Like the other
-	// boundary hooks it costs the step loop nothing when nil and nothing
-	// but the sample fill when set — the engine reuses one ProbeSample, so
-	// arming it keeps the zero-alloc step-loop contract (pinned by the
-	// alloc regression tests). The sample is valid only for the duration
-	// of the call; observers must copy out what they keep. Static runs
-	// (no Topology) have no boundaries and receive only the final sample.
+	// topology epoch boundary (immediately after any Checkpoint capture)
+	// and once more after the run's final step. Like Checkpoint it costs
+	// the step loop nothing when nil and nothing but the sample fill when
+	// set — the engine reuses one ProbeSample, so arming it keeps the
+	// zero-alloc step-loop contract (pinned by the alloc regression tests).
+	// The sample is valid only for the duration of the call; observers must
+	// copy out what they keep. Static runs — a graph, a CSR, or a Topology
+	// with a single epoch, resumed or not — have no boundaries and receive
+	// only the final sample.
 	// Probe is observational: it cannot abort the run and must not touch
 	// engine state (DESIGN.md §10).
 	Probe func(*ProbeSample)
@@ -248,12 +245,21 @@ type Result struct {
 }
 
 // Run simulates the protocol on g until all nodes are done or MaxSteps is
-// reached.
+// reached. It is RunPopulation over the Factory adapter: a static g runs as
+// its frozen snapshot, and under Options.Topology g only fixes the node
+// count, which epoch 0 must match.
 func Run(g *graph.Graph, factory Factory, opts Options) (Result, error) {
 	if g == nil {
 		return Result{}, fmt.Errorf("radio: nil graph")
 	}
-	return run(g, g.N(), &perNode{factory: factory}, opts)
+	pop := &perNode{factory: factory}
+	if opts.Topology == nil {
+		return RunPopulation(g.Freeze(), pop, opts)
+	}
+	if csr, _ := opts.Topology.EpochAt(0); csr != nil && csr.N() != g.N() {
+		return Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", csr.N(), g.N())
+	}
+	return RunPopulation(nil, pop, opts)
 }
 
 // RunCSR simulates the protocol directly on a frozen CSR snapshot — the
@@ -279,10 +285,9 @@ type staticCSR struct{ csr *graph.CSR }
 func (s staticCSR) EpochAt(step int) (*graph.CSR, int) { return s.csr, -1 }
 
 // run validates the options shared by every entry point, starts the
-// population and runs the engine. g is nil on the graph-free paths — the
-// engine touches it only through newEngine, which freezes it solely when no
-// Topology is installed.
-func run(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
+// population and runs the engine over opts.Topology, which every entry
+// point has installed (a static snapshot as staticCSR).
+func run(n int, pop Population, opts Options) (Result, error) {
 	if opts.MaxSteps <= 0 {
 		return Result{}, fmt.Errorf("radio: MaxSteps must be positive, got %d", opts.MaxSteps)
 	}
@@ -295,15 +300,6 @@ func run(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
 	if opts.WakeAt != nil && len(opts.WakeAt) != n {
 		return Result{}, fmt.Errorf("radio: WakeAt has %d entries for %d nodes", len(opts.WakeAt), n)
 	}
-	if opts.Topology != nil {
-		csr, _ := opts.Topology.EpochAt(0)
-		if csr == nil {
-			return Result{}, fmt.Errorf("radio: Topology has no epoch at step 0")
-		}
-		if csr.N() != n {
-			return Result{}, fmt.Errorf("radio: Topology epoch 0 has %d nodes for %d protocol nodes", csr.N(), n)
-		}
-	}
 	if cp := opts.Resume; cp != nil {
 		if cp.Step < 0 || cp.Step >= opts.MaxSteps {
 			return Result{}, fmt.Errorf("radio: resume step %d outside [0, MaxSteps=%d)", cp.Step, opts.MaxSteps)
@@ -312,5 +308,5 @@ func run(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
 	if opts.PHY == nil {
 		opts.PHY = phy.NewCollision()
 	}
-	return runSequential(g, n, pop, opts)
+	return runSequential(n, pop, opts)
 }

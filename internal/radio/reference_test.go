@@ -18,12 +18,12 @@ import (
 func runDelivery(t *testing.T, g *graph.Graph, transmitting []bool, payload []Message, cd bool) ([]Message, StepStats) {
 	t.Helper()
 	n := g.N()
-	opts := Options{PHY: phy.NewCollision()}
+	opts := Options{PHY: phy.NewCollision(), Topology: staticCSR{g.Freeze()}}
 	if cd {
 		opts.PHY = phy.NewCollisionCD()
 	}
 	p := &perNode{payload: make([]Message, n), hear: make([]Message, n)}
-	e, err := newEngine(g, n, p, opts)
+	e, err := newEngine(n, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,5 @@
 package radio
 
-import "repro/internal/graph"
-
 // runSequential is the single-threaded engine, and the one step loop every
 // entry point runs: per step it calls the population's act phase, the PHY
 // resolve and the population's deliver phase once each. After the engine
@@ -11,8 +9,8 @@ import "repro/internal/graph"
 // off its own preallocated scratch, and only entries dirtied this step are
 // re-zeroed. Per-step cost is O(#active + #transmitters + the listeners
 // they reach) plus whatever the population spends.
-func runSequential(g *graph.Graph, n int, pop Population, opts Options) (Result, error) {
-	e, err := newEngine(g, n, pop, opts)
+func runSequential(n int, pop Population, opts Options) (Result, error) {
+	e, err := newEngine(n, pop, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -30,11 +28,12 @@ func runSequential(g *graph.Graph, n int, pop Population, opts Options) (Result,
 	for step := start; step < opts.MaxSteps; step++ {
 		st := StepStats{Step: step}
 		// Epoch boundary: swap in the topology in force at this step, and
-		// capture a checkpoint there when the hook is armed (on resume the
-		// boundary re-fires at cp.Step, re-syncing the PHY model). The
-		// advisory probe samples at the same boundaries, after the capture.
+		// capture a checkpoint there when the hook is armed (on a dynamic
+		// resume the boundary re-fires at cp.Step, re-syncing the PHY
+		// model). The advisory probe samples at the same boundaries, after
+		// the capture.
 		if e.epochSync(step) {
-			if opts.Checkpoint != nil || opts.Snapshot != nil {
+			if opts.Checkpoint != nil {
 				if err := e.boundary(step, active, res); err != nil {
 					return Result{}, err
 				}

@@ -147,7 +147,7 @@ func TestExecuteWithCheckpointKillResumeByteIdentical(t *testing.T) {
 			}
 			o := ExecOptions{Prefilled: trials}
 			if ckpt != nil {
-				o.ResumeTrial, o.Resume = ckptTrial, ckpt
+				o.ResumeFrom = map[int]*exp.FloodCheckpoint{ckptTrial: ckpt}
 			}
 			r2, err := ExecuteWith(sp, o)
 			if err != nil {

@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"sync"
 
 	"repro/internal/dyn"
@@ -88,8 +89,9 @@ func (s *Service) probePrefix(sp Spec) *prefixPlan {
 // publishSnapshot writes one epoch-boundary snapshot into the snap
 // keyspace, relaxed (atomic rename + checksum, no fsync — losing a
 // snapshot to a machine crash costs a cold recompute, and a torn one is
-// quarantined on read). Failures are counted, never surfaced: publication
-// is advisory by contract (radio.Options.Snapshot).
+// quarantined on read). Failures are counted in snapErrs, never surfaced:
+// a failed publication costs future resume depth, never correctness, so it
+// must not abort the run it rides on.
 func (s *Service) publishSnapshot(sp Spec, prefixHash string, trial int, cp *exp.FloodCheckpoint) {
 	step := 0
 	if cp.Engine != nil {
@@ -116,16 +118,29 @@ func (s *Service) publishSnapshot(sp Spec, prefixHash string, trial int, cp *exp
 // at every epoch boundary, resume the plan's trials from their cached
 // snapshots, and take each trial's schedule from the schedule memo.
 // Publication is armed even on a cold run — that is how the first variant
-// of a sweep seeds the cache for the rest.
+// of a sweep seeds the cache for the rest. It chains onto whatever
+// OnCheckpoint o already carries (a job's journal): publish first, then
+// the previous hook, whose error alone can abort the run. A ResumeFrom
+// entry o already carries (a job's journal checkpoint) wins over the
+// plan's snapshot for that trial; the plan's map is left untouched.
 func (s *Service) armPrefix(sp Spec, plan *prefixPlan, o *ExecOptions) {
 	if !s.prefixEligible(sp) {
 		return
 	}
 	ph := sp.PrefixHash()
-	o.OnSnapshot = func(trial int, cp *exp.FloodCheckpoint) { s.publishSnapshot(sp, ph, trial, cp) }
+	next := o.OnCheckpoint
+	o.OnCheckpoint = func(trial int, cp *exp.FloodCheckpoint) error {
+		s.publishSnapshot(sp, ph, trial, cp)
+		if next == nil {
+			return nil
+		}
+		return next(trial, cp)
+	}
 	o.Schedule = s.scheds.schedule
-	if plan != nil {
-		o.ResumeFrom = plan.resume
+	if plan != nil && len(plan.resume) > 0 {
+		resume := maps.Clone(plan.resume)
+		maps.Copy(resume, o.ResumeFrom)
+		o.ResumeFrom = resume
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,8 +20,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/chaos"
 	"repro/internal/exp"
 	"repro/internal/gen"
+	"repro/internal/radio"
 )
 
 // sweepSpec is the suite's base scenario; variants differ only in the tail
@@ -102,11 +105,11 @@ func TestExecuteWithSnapshotSeedsCrossVariantResume(t *testing.T) {
 	deepest := map[int]int{}
 	raws := map[int][]byte{}
 	var mu sync.Mutex
-	_, err := ExecuteWith(short, ExecOptions{OnSnapshot: func(trial int, cp *exp.FloodCheckpoint) {
+	_, err := ExecuteWith(short, ExecOptions{OnCheckpoint: func(trial int, cp *exp.FloodCheckpoint) error {
 		raw, err := json.Marshal(cp)
 		if err != nil {
 			t.Errorf("marshal snapshot: %v", err)
-			return
+			return nil
 		}
 		mu.Lock()
 		defer mu.Unlock()
@@ -114,6 +117,7 @@ func TestExecuteWithSnapshotSeedsCrossVariantResume(t *testing.T) {
 			deepest[trial] = cp.Engine.Step
 			raws[trial] = raw
 		}
+		return nil
 	}})
 	if err != nil {
 		t.Fatal(err)
@@ -138,12 +142,13 @@ func TestExecuteWithSnapshotSeedsCrossVariantResume(t *testing.T) {
 	}
 	firstPub := map[int]int{}
 	r, err := ExecuteWith(long, ExecOptions{ResumeFrom: resume,
-		OnSnapshot: func(trial int, cp *exp.FloodCheckpoint) {
+		OnCheckpoint: func(trial int, cp *exp.FloodCheckpoint) error {
 			mu.Lock()
 			defer mu.Unlock()
 			if _, seen := firstPub[trial]; !seen {
 				firstPub[trial] = cp.Engine.Step
 			}
+			return nil
 		}})
 	if err != nil {
 		t.Fatal(err)
@@ -426,5 +431,110 @@ func TestScheduleMemoMatchesScheduleByName(t *testing.T) {
 	check(tiny, sweepSpec(6), 41)
 	if len(tiny.byKey) != 0 || tiny.ll.Len() != 0 {
 		t.Fatal("a grower over the byte bound stayed in the memo")
+	}
+}
+
+// armPrefix chains publication onto the caller's boundary hook: the
+// snapshot is published before the caller's hook (a job's journal) runs,
+// the caller's error alone aborts, a failed publication is only counted,
+// and a resume entry the caller set wins over the plan's snapshot for its
+// trial without the plan's map being touched.
+func TestArmPrefixPublishesThenChains(t *testing.T) {
+	s, err := Open(Config{Workers: 1, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	sp := mustCanonical(t, sweepSpec(4))
+	ph := sp.PrefixHash()
+	cached0, cached1, journaled := &exp.FloodCheckpoint{}, &exp.FloodCheckpoint{}, &exp.FloodCheckpoint{}
+	plan := &prefixPlan{resume: map[int]*exp.FloodCheckpoint{0: cached0, 1: cached1}}
+	boom := errors.New("journal append failed")
+	var published []bool // per journal call: was the snapshot already in the store?
+	o := ExecOptions{
+		ResumeFrom: map[int]*exp.FloodCheckpoint{1: journaled},
+		OnCheckpoint: func(trial int, cp *exp.FloodCheckpoint) error {
+			_, ok, _ := s.snaps.Get(snapKey(ph, cp.Engine.Step/sp.EpochLen, trial))
+			published = append(published, ok)
+			return boom
+		},
+	}
+	s.armPrefix(sp, plan, &o)
+
+	if o.ResumeFrom[0] != cached0 || o.ResumeFrom[1] != journaled {
+		t.Fatalf("ResumeFrom %v: want the plan's trial 0 and the journal's trial 1", o.ResumeFrom)
+	}
+	if len(plan.resume) != 2 || plan.resume[1] != cached1 {
+		t.Fatalf("plan map mutated: %v", plan.resume)
+	}
+	cp := &exp.FloodCheckpoint{Engine: &radio.Checkpoint{Step: sp.EpochLen}}
+	if err := o.OnCheckpoint(0, cp); !errors.Is(err, boom) {
+		t.Fatalf("chained hook error = %v, want the journal's %v", err, boom)
+	}
+	if len(published) != 1 || !published[0] {
+		t.Fatalf("journal saw published=%v, want the snapshot published before the journal hook", published)
+	}
+
+	faults := chaos.New()
+	faults.Arm("store.put", 0, -1, errors.New("disk full"))
+	s.snaps.SetFaults(faults)
+	o = ExecOptions{}
+	s.armPrefix(sp, nil, &o)
+	if err := o.OnCheckpoint(1, &exp.FloodCheckpoint{Engine: &radio.Checkpoint{Step: 2 * sp.EpochLen}}); err != nil {
+		t.Fatalf("failed publication aborted the hook: %v", err)
+	}
+	if got := s.Stats().SnapErrors; got != 1 {
+		t.Fatalf("SnapErrors = %d, want 1", got)
+	}
+}
+
+// A failing snapshot store never fails a request: with every snap/
+// publication faulted, a dynamic flood served sync and one run as a job
+// both succeed with bodies equal to a fresh Execute, and the failures show
+// up only in Stats().SnapErrors.
+func TestServiceSnapPublishFailureIsAdvisory(t *testing.T) {
+	s, err := Open(Config{Workers: 2, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	faults := chaos.New()
+	faults.Arm("store.put", 0, -1, errors.New("disk full"))
+	s.snaps.SetFaults(faults)
+
+	syncSpec, jobSpec := sweepSpec(4), sweepSpec(4)
+	jobSpec.Seed++
+	want := func(sp Spec) []byte {
+		r, err := Execute(sp, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := r.JSON()
+		return b
+	}
+	got, _, st, err := s.Simulate(syncSpec)
+	if err != nil || st != StatusMiss {
+		t.Fatalf("sync: status %s err %v", st, err)
+	}
+	if !bytes.Equal(got, want(syncSpec)) {
+		t.Fatal("sync body differs from Execute")
+	}
+	v, err := s.SubmitJob(jobSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v = waitForJob(t, s, v.ID); v.State != JobDone {
+		t.Fatalf("job %+v, want done", v)
+	}
+	jb, ok := s.ResultByHash(v.SpecHash)
+	if !ok || !bytes.Equal(jb, want(jobSpec)) {
+		t.Fatalf("job body (found=%v) differs from Execute", ok)
+	}
+	st2 := s.Stats()
+	if st2.SnapErrors == 0 || st2.SnapPuts != 0 {
+		t.Fatalf("stats %+v: want failed publications counted and none landed", st2)
+	}
+	if faults.Triggered("store.put") == 0 {
+		t.Fatal("the snap store fault never fired")
 	}
 }

@@ -47,8 +47,8 @@ func (r *Result) JSON() ([]byte, error) {
 }
 
 // ExecOptions parameterizes ExecuteWith beyond the plain Execute path —
-// the crash-safety hooks the journaled job runner threads through
-// (DESIGN.md §8). The zero value reproduces Execute's behavior.
+// the crash-safety and prefix-cache hooks the service threads through
+// (DESIGN.md §8, §9). The zero value reproduces Execute's behavior.
 type ExecOptions struct {
 	// Parallel caps the trial-runner workers (≤ 0 selects 1).
 	Parallel int
@@ -63,27 +63,25 @@ type ExecOptions struct {
 	// Cancelled is polled between trials; once true the run stops with
 	// exp.ErrCancelled (drain, deadline, injected kill).
 	Cancelled func() bool
-	// OnCheckpoint, when non-nil and the spec is a dynamic flood, receives
-	// each trial's engine checkpoints (trial declaration index, snapshot).
-	// A non-nil return aborts the run — a run must not outpace its journal.
+	// OnCheckpoint, when non-nil and the spec is a dynamic flood, is the one
+	// epoch-boundary hook (exp.FloodConfig.OnCheckpoint): it receives each
+	// trial's engine checkpoints (trial declaration index, snapshot). A
+	// non-nil return aborts the run — a run must not outpace its journal.
+	// The service chains its consumers here, publish then journal: the
+	// prefix-cache publication runs first and never returns an error (a
+	// failed publication is only counted), then the job's journal append,
+	// whose failure aborts. Chained consumers share the snapshot and must
+	// not mutate it.
 	OnCheckpoint func(trial int, cp *exp.FloodCheckpoint) error
-	// Resume, when non-nil, resumes trial ResumeTrial from the snapshot
-	// instead of step 0 (the trial interrupted mid-flight at the crash).
-	ResumeTrial int
-	Resume      *exp.FloodCheckpoint
-	// ResumeFrom maps trial indices to prefix-cache snapshots (DESIGN.md
-	// §9): each listed trial starts from its snapshot instead of step 0.
-	// Unlike Resume — a crash-recovery artifact of this exact spec —
-	// ResumeFrom snapshots may come from a *different* spec sharing this
-	// one's prefix, which is sound because the trial seed and every epoch
-	// up to the snapshot step are prefix-determined. Resume wins for its
-	// trial when both are set. Snapshots that don't fit the run (step past
-	// the budget, wrong node count) are dropped, degrading to a cold trial.
+	// ResumeFrom maps trial indices to snapshots: each listed trial starts
+	// from its snapshot instead of step 0. A snapshot is either this spec's
+	// own journal checkpoint (the trial interrupted mid-flight at a crash)
+	// or a prefix-cache snapshot (DESIGN.md §9), which may come from a
+	// *different* spec sharing this one's prefix — sound because the trial
+	// seed and every epoch up to the snapshot step are prefix-determined.
+	// Snapshots that don't fit the run (step past the budget, wrong node
+	// count) are dropped, degrading to a cold trial.
 	ResumeFrom map[int]*exp.FloodCheckpoint
-	// OnSnapshot, when non-nil and the spec is a dynamic flood, observes
-	// each trial's epoch-boundary snapshots advisorily (cannot abort the
-	// run) — the prefix-cache publication hook.
-	OnSnapshot func(trial int, cp *exp.FloodCheckpoint)
 	// Schedule, when non-nil and the spec is a flood, builds each trial's
 	// topology schedule (spec, trial seed) in place of gen.ScheduleByName,
 	// and must return exactly what ScheduleByName would — the prefix
@@ -125,8 +123,7 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 	grid := exp.NewGrid(c.GridID())
 	tf := trialFunc(c)
 	hooked := c.Algo == "flood" &&
-		(o.OnCheckpoint != nil || o.Resume != nil || o.OnSnapshot != nil || o.OnProbe != nil ||
-			o.Schedule != nil || len(o.ResumeFrom) > 0)
+		(o.OnCheckpoint != nil || o.OnProbe != nil || o.Schedule != nil || len(o.ResumeFrom) > 0)
 	for i := 0; i < c.Reps; i++ {
 		if !hooked {
 			grid.Add(c.Algo, tf)
@@ -138,19 +135,11 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 			if o.OnCheckpoint != nil {
 				onCkpt = func(cp *exp.FloodCheckpoint) error { return o.OnCheckpoint(i, cp) }
 			}
-			var onSnap func(cp *exp.FloodCheckpoint)
-			if o.OnSnapshot != nil {
-				onSnap = func(cp *exp.FloodCheckpoint) { o.OnSnapshot(i, cp) }
-			}
 			var onProbe func(s *radio.ProbeSample)
 			if o.OnProbe != nil {
 				onProbe = func(s *radio.ProbeSample) { o.OnProbe(i, s) }
 			}
-			resume := o.ResumeFrom[i]
-			if o.Resume != nil && i == o.ResumeTrial {
-				resume = o.Resume
-			}
-			return floodTrial(c, seed, o.Schedule, onCkpt, onSnap, onProbe, resume)
+			return floodTrial(c, seed, o.Schedule, onCkpt, onProbe, o.ResumeFrom[i])
 		})
 	}
 	samples, err := grid.Run(exp.Config{
@@ -179,7 +168,7 @@ func ExecuteWith(sp Spec, o ExecOptions) (*Result, error) {
 func trialFunc(sp Spec) exp.TrialFunc {
 	return func(seed uint64) (exp.Sample, error) {
 		if sp.Algo == "flood" {
-			return floodTrial(sp, seed, nil, nil, nil, nil, nil)
+			return floodTrial(sp, seed, nil, nil, nil, nil)
 		}
 		if _, _, isPhy := gen.SplitPhySpec(sp.Graph); isPhy {
 			return phyTrial(sp, seed)
@@ -295,15 +284,16 @@ func phyTrial(sp Spec, seed uint64) (exp.Sample, error) {
 // floodTrial runs the dynamic-topology flood (exp.RunFlood — the same
 // runner E17–E21 and radionet-sim use) for one replica. On a phy: spec the
 // schedule is static and the flood runs under the spec's reception model.
-// schedule (nil = gen.ScheduleByName) builds the trial's schedule; onCkpt,
-// onSnap, and resume thread the crash-safety and prefix-cache hooks into
-// the flood run; all are nil outside journaled jobs and prefix runs (a
-// static schedule has no epoch boundaries, so they are inert there). A resume snapshot that doesn't fit this run — captured past the
-// budget (possible when it came from a longer sweep variant) or with a
-// different node count (a corrupted or mismatched cache entry that slipped
-// the checksum) — is dropped, not an error: the trial runs cold, which is
-// always correct.
-func floodTrial(sp Spec, seed uint64, schedule func(Spec, uint64) (*dyn.Schedule, error), onCkpt func(cp *exp.FloodCheckpoint) error, onSnap func(cp *exp.FloodCheckpoint), onProbe func(s *radio.ProbeSample), resume *exp.FloodCheckpoint) (exp.Sample, error) {
+// schedule (nil = gen.ScheduleByName) builds the trial's schedule; onCkpt
+// and resume thread the epoch-boundary hook (journal and prefix-cache
+// publication) and the trial's resume snapshot into the flood run; both
+// are nil outside journaled jobs and prefix runs (a static schedule has no
+// epoch boundaries, so they are inert there). A resume snapshot that
+// doesn't fit this run — captured past the budget (possible when it came
+// from a longer sweep variant) or with a different node count (a corrupted
+// or mismatched cache entry that slipped the checksum) — is dropped, not an
+// error: the trial runs cold, which is always correct.
+func floodTrial(sp Spec, seed uint64, schedule func(Spec, uint64) (*dyn.Schedule, error), onCkpt func(cp *exp.FloodCheckpoint) error, onProbe func(s *radio.ProbeSample), resume *exp.FloodCheckpoint) (exp.Sample, error) {
 	var sched *dyn.Schedule
 	var err error
 	if schedule != nil {
@@ -330,7 +320,7 @@ func floodTrial(sp Spec, seed uint64, schedule func(Spec, uint64) (*dyn.Schedule
 	g := graph.FromCSR(sched.CSR(0))
 	out, err := exp.RunFlood(g, sched, map[int]int64{sp.Source % n: 1}, exp.FloodConfig{
 		Budget: budget, ProbeStep: -1, Seed: seed, PHY: model,
-		OnCheckpoint: onCkpt, OnSnapshot: onSnap, Probe: onProbe, Resume: resume,
+		OnCheckpoint: onCkpt, Probe: onProbe, Resume: resume,
 	})
 	if err != nil {
 		return exp.Sample{}, err

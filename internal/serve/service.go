@@ -490,7 +490,7 @@ func (s *Service) simulate(ctx context.Context, raw Spec) (data []byte, hash str
 	var fromCache, viaPrefix bool
 	flight := obs.StartSpan(ctx, s.log, "flight")
 	b, err, shared := s.sf.Do(hash, nil, func(report func(done, total int)) ([]byte, error) {
-		eb, hit, via, eerr := s.execute(ctx, sp, hash, report)
+		eb, hit, via, eerr := s.execute(ctx, sp, hash, "", ExecOptions{OnTrial: report})
 		fromCache, viaPrefix = hit, via
 		return eb, eerr
 	})
@@ -572,59 +572,69 @@ func (s *Service) storePut(hash string, b []byte) error {
 	return s.st.Put(hash, b)
 }
 
-// execute runs one simulation through the prefix-cache protocol and the
-// worker semaphore, publishing the result bytes to the store and cache;
+// execute runs one simulation of sp through the prefix-cache protocol and
+// the worker semaphore, publishing the result bytes to the store and cache;
 // fromCache reports that the result had already landed and nothing ran,
-// viaPrefix that the computation resumed from prefix snapshots. Callers
-// hold the singleflight slot for hash.
-func (s *Service) execute(ctx context.Context, sp Spec, hash string, onTrial func(done, total int)) (b []byte, fromCache, viaPrefix bool, err error) {
+// viaPrefix that the computation resumed from prefix snapshots. It is the
+// one execution path of sync requests and jobs alike: o carries the
+// caller's hooks (a sync request's progress listener; a job's journal,
+// prefill, cancellation and resume checkpoint), and job names the job in
+// the execute span ("" for a sync request). Callers hold the singleflight
+// slot for hash.
+func (s *Service) execute(ctx context.Context, sp Spec, hash, job string, o ExecOptions) (b []byte, fromCache, viaPrefix bool, err error) {
+	o.Parallel, o.OnProbe = s.cfg.Parallel, s.onProbe
 	return s.runPrefixed(sp, func(plan *prefixPlan) ([]byte, bool, error) {
-		return s.executeSlot(ctx, sp, hash, onTrial, plan)
-	})
-}
-
-// executeSlot is the slot-holding half of execute: re-check the caches,
-// then run with the prefix plan's resume snapshots (nil plan = cold).
-func (s *Service) executeSlot(ctx context.Context, sp Spec, hash string, onTrial func(done, total int), plan *prefixPlan) (b []byte, fromCache bool, err error) {
-	wait := obs.StartSpan(ctx, s.log, "slot.wait")
-	s.slots <- struct{}{}
-	wait.End()
-	defer func() { <-s.slots }()
-	// The result may have landed while this request waited in the queue or
-	// for a slot (e.g. a sync request computed the same spec) — serve it.
-	// peek, not Get: this internal re-check must not distort the stats.
-	if b, ok := s.cache.peek(hash); ok {
-		return b, true, nil
-	}
-	if b, ok := s.storeGet(hash); ok {
+		wait := obs.StartSpan(ctx, s.log, "slot.wait")
+		s.slots <- struct{}{}
+		wait.End()
+		defer func() { <-s.slots }()
+		// The result may have landed while this request waited in the queue
+		// or for a slot (e.g. a sync request computed the same spec) — serve
+		// it. peek, not Get: this internal re-check must not distort the
+		// stats.
+		if b, ok := s.cache.peek(hash); ok {
+			return b, true, nil
+		}
+		if b, ok := s.storeGet(hash); ok {
+			s.cache.Put(hash, b)
+			return b, true, nil
+		}
+		if hook := s.testHookExecuting; hook != nil {
+			hook(sp)
+		}
+		s.execs.Add(1)
+		o := o // runPrefixed may run this twice; arm each run's own copy
+		s.armPrefix(sp, plan, &o)
+		run := obs.StartSpan(ctx, s.log, "execute")
+		if job != "" {
+			run.SetAttr("job", job)
+		}
+		run.SetAttr("hash", hash)
+		res, err := ExecuteWith(sp, o)
+		run.End()
+		if errors.Is(err, exp.ErrCancelled) {
+			// Only a job sets Cancelled: a kill or its deadline stopped it.
+			if s.killed.Load() {
+				return nil, false, errJournalFrozen
+			}
+			return nil, false, fmt.Errorf("%w after %v", ErrJobDeadline, s.cfg.JobTimeout)
+		}
+		if err != nil {
+			return nil, false, err
+		}
+		b, err := res.JSON()
+		if err != nil {
+			return nil, false, err
+		}
+		put := obs.StartSpan(ctx, s.log, "store.put")
+		err = s.storePut(hash, b)
+		put.End()
+		if err != nil {
+			return nil, false, err
+		}
 		s.cache.Put(hash, b)
-		return b, true, nil
-	}
-	if hook := s.testHookExecuting; hook != nil {
-		hook(sp)
-	}
-	s.execs.Add(1)
-	o := ExecOptions{Parallel: s.cfg.Parallel, OnTrial: onTrial, OnProbe: s.onProbe}
-	s.armPrefix(sp, plan, &o)
-	run := obs.StartSpan(ctx, s.log, "execute")
-	run.SetAttr("hash", hash)
-	res, err := ExecuteWith(sp, o)
-	run.End()
-	if err != nil {
-		return nil, false, err
-	}
-	b, err = res.JSON()
-	if err != nil {
-		return nil, false, err
-	}
-	put := obs.StartSpan(ctx, s.log, "store.put")
-	err = s.storePut(hash, b)
-	put.End()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.Put(hash, b)
-	return b, false, nil
+		return b, false, nil
+	})
 }
 
 // onProbe forwards engine probe samples (epoch boundaries + run ends) to
@@ -823,9 +833,35 @@ func (s *Service) attemptJob(ctx context.Context, j *job, deadline time.Time) er
 			j.total = total
 		})
 	}
+	// The job's crash-safety hooks: recovered trials prefilled, cancellation
+	// on kill or deadline, and, on a durable service, journaled trial
+	// samples and flood checkpoints plus the resume of the trial that was
+	// mid-flight at the crash.
+	o := ExecOptions{
+		Prefilled: j.recTrials,
+		Cancelled: func() bool {
+			return s.killed.Load() || (!deadline.IsZero() && time.Now().After(deadline))
+		},
+	}
+	if s.jr != nil {
+		o.OnSample = func(i int, smp exp.Sample) {
+			sample := smp
+			s.journalAppend(journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
+		}
+		o.OnCheckpoint = func(trial int, cp *exp.FloodCheckpoint) error {
+			// A checkpointed run must not outpace its journal: the append
+			// error aborts the run (and the chaos suite injects worker
+			// death here).
+			return s.jr.append(journalRecord{Op: opCkpt, Job: j.id, Index: trial, Ckpt: cp})
+		}
+		if j.ckpt != nil {
+			o.ResumeFrom = map[int]*exp.FloodCheckpoint{j.ckptTrial: j.ckpt}
+		}
+	}
 	var fromCache bool
 	_, err, shared := s.sf.Do(j.hash, onProgress, func(report func(done, total int)) ([]byte, error) {
-		b, hit, _, eerr := s.executeJob(ctx, j, deadline, report)
+		o.OnTrial = report
+		b, hit, _, eerr := s.execute(ctx, j.spec, j.hash, j.id, o)
 		fromCache = hit
 		return b, eerr
 	})
@@ -842,86 +878,6 @@ func (s *Service) attemptJob(ctx context.Context, j *job, deadline time.Time) er
 		j.cacheHit = j.cacheHit || fromCache
 	})
 	return nil
-}
-
-// executeJob is execute with the job's crash-safety hooks attached:
-// journaled trial samples and flood checkpoints, recovered-trial prefill,
-// checkpoint resume, and cancellation (kill, deadline). Jobs ride the
-// prefix cache too — sweeps submitted async warm and consume the same
-// snapshot keyspace as sync requests.
-func (s *Service) executeJob(ctx context.Context, j *job, deadline time.Time, report func(done, total int)) ([]byte, bool, bool, error) {
-	return s.runPrefixed(j.spec, func(plan *prefixPlan) ([]byte, bool, error) {
-		return s.executeJobSlot(ctx, j, deadline, report, plan)
-	})
-}
-
-func (s *Service) executeJobSlot(ctx context.Context, j *job, deadline time.Time, report func(done, total int), plan *prefixPlan) ([]byte, bool, error) {
-	wait := obs.StartSpan(ctx, s.log, "slot.wait")
-	s.slots <- struct{}{}
-	wait.End()
-	defer func() { <-s.slots }()
-	if b, ok := s.cache.peek(j.hash); ok {
-		return b, true, nil
-	}
-	if b, ok := s.storeGet(j.hash); ok {
-		s.cache.Put(j.hash, b)
-		return b, true, nil
-	}
-	if hook := s.testHookExecuting; hook != nil {
-		hook(j.spec)
-	}
-	s.execs.Add(1)
-	o := ExecOptions{
-		Parallel:  s.cfg.Parallel,
-		OnTrial:   report,
-		OnProbe:   s.onProbe,
-		Prefilled: j.recTrials,
-		Cancelled: func() bool {
-			return s.killed.Load() || (!deadline.IsZero() && time.Now().After(deadline))
-		},
-	}
-	s.armPrefix(j.spec, plan, &o)
-	if s.jr != nil {
-		o.OnSample = func(i int, smp exp.Sample) {
-			sample := smp
-			s.journalAppend(journalRecord{Op: opTrial, Job: j.id, Index: i, Sample: &sample})
-		}
-		o.OnCheckpoint = func(trial int, cp *exp.FloodCheckpoint) error {
-			// A checkpointed run must not outpace its journal: the append
-			// error aborts the run (and the chaos suite injects worker
-			// death here).
-			return s.jr.append(journalRecord{Op: opCkpt, Job: j.id, Index: trial, Ckpt: cp})
-		}
-		if j.ckpt != nil {
-			o.ResumeTrial, o.Resume = j.ckptTrial, j.ckpt
-		}
-	}
-	run := obs.StartSpan(ctx, s.log, "execute")
-	run.SetAttr("job", j.id)
-	run.SetAttr("hash", j.hash)
-	res, err := ExecuteWith(j.spec, o)
-	run.End()
-	if err != nil {
-		if errors.Is(err, exp.ErrCancelled) {
-			if s.killed.Load() {
-				return nil, false, errJournalFrozen
-			}
-			return nil, false, fmt.Errorf("%w after %v", ErrJobDeadline, s.cfg.JobTimeout)
-		}
-		return nil, false, err
-	}
-	b, err := res.JSON()
-	if err != nil {
-		return nil, false, err
-	}
-	put := obs.StartSpan(ctx, s.log, "store.put")
-	err = s.storePut(j.hash, b)
-	put.End()
-	if err != nil {
-		return nil, false, err
-	}
-	s.cache.Put(j.hash, b)
-	return b, false, nil
 }
 
 // updateJob applies fn to j under the service lock.

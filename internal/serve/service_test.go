@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -348,7 +349,7 @@ func TestServiceSlotWaitCacheLandingIsHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := fresh.JSON()
-	b, fromCache, _, err := s.execute(context.Background(), sp, sp.Hash(), nil)
+	b, fromCache, _, err := s.execute(context.Background(), sp, sp.Hash(), "", ExecOptions{})
 	if err != nil || fromCache {
 		t.Fatalf("cold execute: fromCache=%v err=%v", fromCache, err)
 	}
@@ -356,7 +357,7 @@ func TestServiceSlotWaitCacheLandingIsHit(t *testing.T) {
 		t.Fatal("executed bytes differ")
 	}
 	// The cache now holds the result: the peek path must report it.
-	b2, fromCache, _, err := s.execute(context.Background(), sp, sp.Hash(), nil)
+	b2, fromCache, _, err := s.execute(context.Background(), sp, sp.Hash(), "", ExecOptions{})
 	if err != nil || !fromCache || !bytes.Equal(b2, want) {
 		t.Fatalf("warm execute: fromCache=%v err=%v identical=%v", fromCache, err, bytes.Equal(b2, want))
 	}
@@ -372,4 +373,92 @@ func TestServiceSubmitAfterClose(t *testing.T) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
+}
+
+// A sync request and a job for the same spec share one execution whichever
+// arrives first: both callers run through the one execution path, keyed by
+// the same singleflight. Both bodies are byte-identical to a fresh
+// Execute. The service is durable, so on the dynamic flood the job's
+// journal and the prefix publication are both armed on the boundary hook.
+func TestServiceSyncAndJobCoalesce(t *testing.T) {
+	specs := []Spec{
+		{Graph: "grid", N: 25, Algo: "mis", Seed: 29, Reps: 2},
+		{Graph: "churn:grid", N: 36, Algo: "flood", Seed: 29, Reps: 2, Epochs: 4, EpochLen: 8, Rate: 0.3},
+	}
+	for _, sp := range specs {
+		fresh, err := Execute(sp, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := fresh.JSON()
+		for _, jobFirst := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/jobFirst=%v", sp.Graph, jobFirst), func(t *testing.T) {
+				s, err := Open(Config{Workers: 2, CacheEntries: 8, DataDir: t.TempDir()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer s.Close()
+				entered := make(chan struct{})
+				release := make(chan struct{})
+				var once sync.Once
+				s.testHookExecuting = func(Spec) {
+					once.Do(func() { close(entered) })
+					<-release
+				}
+				var syncBody []byte
+				var syncErr error
+				syncDone := make(chan struct{})
+				simulate := func() {
+					go func() {
+						defer close(syncDone)
+						syncBody, _, _, syncErr = s.Simulate(sp)
+					}()
+				}
+				var v JobView
+				submit := func() {
+					if v, err = s.SubmitJob(sp); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// The second caller is admitted (sync) or running (job) just
+				// before it enters the singleflight.
+				second := func() bool { j, _ := s.Job(v.ID); return j.State == JobRunning }
+				if jobFirst {
+					submit()
+					<-entered
+					simulate()
+					second = func() bool { return s.syncPending.Load() > 0 }
+				} else {
+					simulate()
+					<-entered
+					submit()
+				}
+				for deadline := time.Now().Add(30 * time.Second); !second(); {
+					if time.Now().After(deadline) {
+						t.Fatal("the second caller never started")
+					}
+					time.Sleep(time.Millisecond)
+				}
+				time.Sleep(50 * time.Millisecond) // let it reach the flight wait
+				close(release)
+				<-syncDone
+				if syncErr != nil {
+					t.Fatalf("sync: %v", syncErr)
+				}
+				if v = waitForJob(t, s, v.ID); v.State != JobDone {
+					t.Fatalf("job %+v, want done", v)
+				}
+				jobBody, ok := s.ResultByHash(v.SpecHash)
+				if !ok {
+					t.Fatal("job result not found by hash")
+				}
+				if !bytes.Equal(syncBody, jobBody) || !bytes.Equal(syncBody, want) {
+					t.Fatalf("bodies differ: sync==job %v, sync==Execute %v", bytes.Equal(syncBody, jobBody), bytes.Equal(syncBody, want))
+				}
+				if st := s.Stats(); st.Executions != 1 || st.Coalesced != 1 {
+					t.Fatalf("executions = %d, coalesced = %d; want 1 and 1 for a sync request and a job on one spec", st.Executions, st.Coalesced)
+				}
+			})
+		}
+	}
 }
