@@ -143,44 +143,106 @@ func TestBenchBaselineRequiresEngineBench(t *testing.T) {
 	}
 }
 
-// TestCheckObsOverheadMinOfPairs pins the _obs gate's statistic: a noisy
-// first pair alone does not fail it, a cost that shows in every pair does,
-// and the pairs are measured interleaved, alternating which side goes
-// first.
-func TestCheckObsOverheadMinOfPairs(t *testing.T) {
+// TestCheckTwinsMedianOfPairs pins the twin gates' statistic, the median
+// of the pairs' twin/base ratios: the report's own rows do not enter it,
+// noise in fewer than half the pairs does not fail it, a host regime that
+// holds for both windows of a pair cancels, a cost that shows in every pair
+// fails, and the pairs are measured back to back, alternating which side
+// goes first.
+func TestCheckTwinsMedianOfPairs(t *testing.T) {
+	// seq returns each row's readings in turn, then repeats its last one.
 	seq := func(ns map[string][]float64, calls *[]string) func(string) (float64, error) {
 		return func(name string) (float64, error) {
 			*calls = append(*calls, name)
 			v := ns[name][0]
-			ns[name] = ns[name][1:]
+			if len(ns[name]) > 1 {
+				ns[name] = ns[name][1:]
+			}
 			return v, nil
 		}
 	}
+	repeat := func(v float64, n int) []float64 {
+		r := make([]float64, n)
+		for i := range r {
+			r[i] = v
+		}
+		return r
+	}
 	var log bytes.Buffer
-	// The report's pair reads +20% (a noise spike); the re-measured pairs
-	// are within 1%, so the minimum passes.
+	// The report's pair reads +20% (a noise spike) and its base row is
+	// faster than every re-measured window; the pairs are within 1%.
 	var calls []string
 	noisy := map[string][]float64{"x": {1010, 1000, 1005, 1002}, "x_obs": {1008, 1003, 1001, 1009}}
-	if err := checkObsOverhead(report("x", 1000.0, "x_obs", 1200.0), seq(noisy, &calls), &log); err != nil {
+	if err := checkTwins(report("x", 900.0, "x_obs", 1200.0), seq(noisy, &calls), &log); err != nil {
 		t.Fatalf("noise spike failed the gate: %v", err)
 	}
-	if len(calls) != 2*(obsOverheadPairs-1) {
-		t.Fatalf("%d re-measurements, want %d", len(calls), 2*(obsOverheadPairs-1))
+	if len(calls) != 2*twinPairs {
+		t.Fatalf("%d measurements, want %d", len(calls), 2*twinPairs)
 	}
 	for i := 0; i+1 < len(calls); i += 2 {
 		if calls[i] == calls[i+1] || (i >= 2 && calls[i] == calls[i-2]) {
 			t.Fatalf("pairs not interleaved in alternating order: %v", calls)
 		}
 	}
+	// The twin reads +10% in fewer than half the pairs (another process
+	// busy on the host) and its own cost in the rest.
+	calls = nil
+	busy := map[string][]float64{"x": {1000}, "x_obs": append(repeat(1100, twinPairs/2-1), 1000)}
+	if err := checkTwins(report("x", 1000.0, "x_obs", 1100.0), seq(busy, &calls), &log); err != nil {
+		t.Fatalf("noise in a minority of pairs failed the gate: %v", err)
+	}
+	// The host slows both sides 30% halfway through, and the first base
+	// window reads 7% fast: each side's minimum would put the twin 7.5%
+	// over its base, while every other pair's ratio is 1.
+	calls = nil
+	shift := map[string][]float64{
+		"x":     append(append([]float64{930}, repeat(1000, twinPairs/2-1)...), 1300),
+		"x_obs": append(repeat(1000, twinPairs/2), 1300),
+	}
+	if err := checkTwins(report("x", 1000.0, "x_obs", 1000.0), seq(shift, &calls), &log); err != nil {
+		t.Fatalf("a host regime shift or one lucky window failed the gate: %v", err)
+	}
 	// A real 5% probe cost shows in every pair and fails.
 	calls = nil
 	leaky := map[string][]float64{"x": {1000, 1000, 1000, 1000}, "x_obs": {1050, 1050, 1050, 1050}}
-	if err := checkObsOverhead(report("x", 1000.0, "x_obs", 1050.0), seq(leaky, &calls), &log); err == nil || !strings.Contains(err.Error(), "x_obs") {
+	if err := checkTwins(report("x", 1000.0, "x_obs", 1050.0), seq(leaky, &calls), &log); err == nil || !strings.Contains(err.Error(), "x_obs") {
 		t.Fatalf("want an overhead error naming x_obs, got %v", err)
 	}
 	// Rows without an _obs twin are not re-measured.
 	calls = nil
-	if err := checkObsOverhead(report("x", 1000.0, "y", 9000.0), seq(nil, &calls), &log); err != nil || len(calls) != 0 {
+	if err := checkTwins(report("x", 1000.0, "y", 9000.0), seq(nil, &calls), &log); err != nil || len(calls) != 0 {
 		t.Fatalf("untwinned rows: err %v, %d measurements", err, len(calls))
+	}
+}
+
+// TestCheckTwinsPackedBound pins the packed/flat gate: a _packed row within
+// packedFlatBound of its flat twin passes, one past it fails naming the
+// row (in a normal build; a race-detector build logs the gate as not
+// applied), and the same ratio on an _obs row is held to the tighter 3%.
+func TestCheckTwinsPackedBound(t *testing.T) {
+	twinAt := func(ratio float64) func(string) (float64, error) {
+		return func(name string) (float64, error) {
+			if strings.HasSuffix(name, "_packed") || strings.HasSuffix(name, "_obs") {
+				return 1000 * ratio, nil
+			}
+			return 1000, nil
+		}
+	}
+	var log bytes.Buffer
+	if err := checkTwins(report("f", 1000.0, "f_packed", 1200.0), twinAt(1.2), &log); err != nil {
+		t.Fatalf("packed row at 1.2× its flat twin failed: %v", err)
+	}
+	if !strings.Contains(log.String(), "packed-flat:") {
+		t.Fatalf("no packed-flat line logged:\n%s", log.String())
+	}
+	err := checkTwins(report("f", 1000.0, "f_packed", 1900.0), twinAt(1.9), &log)
+	switch {
+	case raceBuild && (err != nil || !strings.Contains(log.String(), "packed-flat: not gated")):
+		t.Fatalf("race build: want the packed-flat gate logged as not applied, got %v\n%s", err, log.String())
+	case !raceBuild && (err == nil || !strings.Contains(err.Error(), "f_packed")):
+		t.Fatalf("want a packed-flat error naming f_packed at 1.9×, got %v", err)
+	}
+	if err := checkTwins(report("f", 1000.0, "f_obs", 1200.0), twinAt(1.2), &log); err == nil {
+		t.Fatal("a 1.2× _obs row passed its 3% gate")
 	}
 }

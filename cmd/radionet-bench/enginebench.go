@@ -7,10 +7,13 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/decay"
 	"repro/internal/dyn"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -88,16 +91,30 @@ func (c *benchNode) Done() bool                          { return c.dead || c.st
 // one-time allocations at n=4096) inside the timed region, where it divides
 // by b.N and masquerades as a handful of per-step allocs/op whenever b.N
 // lands small. Act calls run on the benchmark goroutine, so the reset is
-// race-free.
+// race-free. reset is b.ResetTimer in a benchmark, or the twin gates' window
+// clock (timeSteps).
 type timerArmer struct {
-	b     *testing.B
+	reset func()
 	armed bool
 }
 
 func (a *timerArmer) fire() {
 	if !a.armed {
 		a.armed = true
-		a.b.ResetTimer()
+		a.reset()
+	}
+}
+
+// stepLoop is the body of a bench row that the twin gates re-measure: it
+// runs steps engine steps and fires arm at the first Act, once setup is
+// done, so its caller times only the step loop.
+type stepLoop func(steps int, arm *timerArmer) error
+
+// bench adapts the loop to testing.Benchmark: b.N steps, the timer reset at
+// the first Act.
+func (l stepLoop) bench(b *testing.B) {
+	if err := l(b.N, &timerArmer{reset: b.ResetTimer}); err != nil {
+		b.Fatal(err)
 	}
 }
 
@@ -122,7 +139,7 @@ func benchSequentialSteps(rows, cols, liveCount int) func(b *testing.B) {
 	return func(b *testing.B) {
 		g := gen.Grid(rows, cols)
 		g.Freeze()
-		arm := &timerArmer{b: b}
+		arm := &timerArmer{reset: b.ResetTimer}
 		factory := func(info radio.NodeInfo) radio.Protocol {
 			dead := liveCount > 0 && info.Index >= liveCount
 			return &resetOnFirstAct{Protocol: &benchNode{rng: info.RNG, budget: b.N, dead: dead}, arm: arm}
@@ -136,25 +153,27 @@ func benchSequentialSteps(rows, cols, liveCount int) func(b *testing.B) {
 // benchDynSteps measures one engine step per op on an rows×cols grid
 // running under a churn schedule (epoch swap every epochLen steps), so the
 // dynamic-topology overhead — one comparison per step plus the amortized
-// per-epoch CSR swap — is tracked alongside the static rows.
-func benchDynSteps(rows, cols, epochLen int) func(b *testing.B) {
-	return func(b *testing.B) {
+// per-epoch CSR swap — is tracked alongside the static rows. A non-nil
+// probe arms radio.Options.Probe: the instrumentation-overhead row, which
+// checkTwins holds within 3% of the unprobed row measured in the same run,
+// pinning the epoch-boundary probe contract's cost (DESIGN.md §10) with a
+// host-independent ratio.
+func benchDynSteps(rows, cols, epochLen int, probe func(*radio.ProbeSample)) stepLoop {
+	return func(steps int, arm *timerArmer) error {
 		g := gen.Grid(rows, cols)
-		// Size the schedule to cover all b.N steps, so every measured step
-		// runs on the dynamic path regardless of how far the framework
-		// scales the iteration count (construction is outside the timer).
-		sched, err := dyn.Churn(g, b.N/epochLen+1, epochLen, 0.2, xrand.New(9))
+		// Size the schedule to cover every step, so every measured step
+		// runs on the dynamic path however many steps are asked for
+		// (construction is outside the timer).
+		sched, err := dyn.Churn(g, steps/epochLen+1, epochLen, 0.2, xrand.New(9))
 		if err != nil {
-			b.Fatal(err)
+			return err
 		}
-		arm := &timerArmer{b: b}
 		factory := func(info radio.NodeInfo) radio.Protocol {
-			return &resetOnFirstAct{Protocol: &benchNode{rng: info.RNG, budget: b.N}, arm: arm}
+			return &resetOnFirstAct{Protocol: &benchNode{rng: info.RNG, budget: steps}, arm: arm}
 		}
-		opts := radio.Options{MaxSteps: b.N, Seed: 1, Topology: sched}
-		if _, err := radio.Run(g, factory, opts); err != nil {
-			b.Fatal(err)
-		}
+		opts := radio.Options{MaxSteps: steps, Seed: 1, Topology: sched, Probe: probe}
+		_, err = radio.Run(g, factory, opts)
+		return err
 	}
 }
 
@@ -164,29 +183,6 @@ func benchDynSteps(rows, cols, epochLen int) func(b *testing.B) {
 var benchProbeSink float64
 
 func benchProbe(s *radio.ProbeSample) { benchProbeSink += s.StepsPerSec }
-
-// benchDynStepsProbed is benchDynSteps with radio.Options.Probe armed — the
-// instrumentation-overhead row. Gate: checkObsOverhead requires it within
-// 3% of the unprobed row measured in the same run, pinning the epoch-
-// boundary probe contract's cost (DESIGN.md §10) with a host-independent
-// ratio.
-func benchDynStepsProbed(rows, cols, epochLen int) func(b *testing.B) {
-	return func(b *testing.B) {
-		g := gen.Grid(rows, cols)
-		sched, err := dyn.Churn(g, b.N/epochLen+1, epochLen, 0.2, xrand.New(9))
-		if err != nil {
-			b.Fatal(err)
-		}
-		arm := &timerArmer{b: b}
-		factory := func(info radio.NodeInfo) radio.Protocol {
-			return &resetOnFirstAct{Protocol: &benchNode{rng: info.RNG, budget: b.N}, arm: arm}
-		}
-		opts := radio.Options{MaxSteps: b.N, Seed: 1, Topology: sched, Probe: benchProbe}
-		if _, err := radio.Run(g, factory, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 // sinrNode transmits with probability 1/32 per step — the sparse Decay-like
 // regime the SINR grid bucketing is built for.
@@ -227,7 +223,7 @@ func benchSINRSteps(n int) func(b *testing.B) {
 		}
 		g := gen.SINRConnectivity(pts, model.Params())
 		g.Freeze()
-		arm := &timerArmer{b: b}
+		arm := &timerArmer{reset: b.ResetTimer}
 		factory := func(info radio.NodeInfo) radio.Protocol {
 			return &resetOnFirstAct{Protocol: &sinrNode{rng: info.RNG, budget: b.N}, arm: arm}
 		}
@@ -324,7 +320,7 @@ func (h *hugeTopo) measureFootprint(base uint64) (int64, error) {
 }
 
 // benchStreamSINRSteps measures one engine step per op on the
-// million-node path: streaming-built (and, above the threshold, delta-packed)
+// million-node path: streaming-built (and, above the threshold, bit-packed)
 // CSR through the graph-free radio.RunCSR entry, SINR delivery from the
 // cached deployment.
 func benchStreamSINRSteps(h *hugeTopo) func(b *testing.B) {
@@ -336,7 +332,7 @@ func benchStreamSINRSteps(h *hugeTopo) func(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		arm := &timerArmer{b: b}
+		arm := &timerArmer{reset: b.ResetTimer}
 		factory := func(info radio.NodeInfo) radio.Protocol {
 			return &resetOnFirstAct{Protocol: &sinrNode{rng: info.RNG, budget: b.N}, arm: arm}
 		}
@@ -409,6 +405,80 @@ func benchSINRDenseRef(n int) func(b *testing.B) {
 	}
 }
 
+// floodTopo is the n=2¹⁶ "udg" deployment the flood rows share, built once
+// by gen.BuildCSR (packed at this size) and unpacked for the flat row, so
+// the two rows walk identical neighbor lists in identical order.
+var floodTopo struct {
+	once         sync.Once
+	packed, flat *graph.CSR
+	err          error
+}
+
+func floodCSR(packed bool) (*graph.CSR, error) {
+	floodTopo.once.Do(func() {
+		floodTopo.packed, _, floodTopo.err = gen.BuildCSR("udg", graph.CompactThreshold, 3)
+		if floodTopo.err == nil {
+			floodTopo.flat = floodTopo.packed.Unpack()
+		}
+	})
+	if packed {
+		return floodTopo.packed, floodTopo.err
+	}
+	return floodTopo.flat, floodTopo.err
+}
+
+// decayPop is a Decay flood once every node is informed: at step s each
+// node transmits with probability 2^-(s mod levels + 1), so the frontiers
+// sweep from n/2 down to a handful per phase and the collision model's
+// neighbor walk carries the step. A radio.Population, so no per-node
+// interface call dilutes the model's share.
+type decayPop struct {
+	levels int
+	rng    []xrand.RNG
+	arm    *timerArmer
+}
+
+func (p *decayPop) Start(n int, opts *radio.Options) error {
+	p.rng = make([]xrand.RNG, n)
+	for v := range p.rng {
+		p.rng[v] = radio.NodeRNG(opts.Seed, v)
+	}
+	return nil
+}
+
+func (p *decayPop) Act(step int, active, tx []int32) ([]int32, []int32) {
+	p.arm.fire()
+	prob := decay.Pow2Neg(step%p.levels + 1)
+	for v := range p.rng {
+		if p.rng[v].Bernoulli(prob) {
+			tx = append(tx, int32(v))
+		}
+	}
+	return active, tx
+}
+
+func (p *decayPop) Deliver(int, []int32, *phy.Outcome) {}
+func (p *decayPop) AllDone([]int32) bool               { return true }
+func (p *decayPop) SnapshotNode(int) []byte            { return nil }
+func (p *decayPop) Restore([][]byte) error {
+	return fmt.Errorf("decayPop does not restore")
+}
+
+// benchFloodSteps measures one engine step per op of decayPop on the
+// n=2¹⁶ flood deployment, over its packed or its flat adjacency.
+func benchFloodSteps(packed bool) stepLoop {
+	return func(steps int, arm *timerArmer) error {
+		csr, err := floodCSR(packed)
+		if err != nil {
+			return err
+		}
+		levels := int(math.Ceil(math.Log2(float64(csr.N() + 1))))
+		pop := &decayPop{levels: levels, arm: arm}
+		_, err = radio.RunPopulation(csr, pop, radio.Options{MaxSteps: steps, Seed: 1})
+		return err
+	}
+}
+
 // hugeTopos caches the streaming topologies shared by the huge rows below.
 var hugeTopos = map[int]*hugeTopo{
 	100000:  {n: 100000},
@@ -425,8 +495,8 @@ func hugeMem(h *hugeTopo) func() (int64, error) {
 	}
 }
 
-// engineBenchSpecs defines the tracked engine micro-benches.
-var engineBenchSpecs = []struct {
+// engineBenchSpec is one tracked engine micro-bench.
+type engineBenchSpec struct {
 	name       string
 	nodes      int
 	stepsPerOp int
@@ -436,16 +506,32 @@ var engineBenchSpecs = []struct {
 	// mem measures the row's resident engine footprint (0 hook = not
 	// measured; the JSON field stays absent).
 	mem func() (int64, error)
-	fn  func(b *testing.B)
-}{
+	// A row is either a benchmark body (fn) or, when a twin gate
+	// re-measures it, a step loop (loop).
+	fn   func(b *testing.B)
+	loop stepLoop
+}
+
+// benchFn returns the row's body for testing.Benchmark.
+func (s engineBenchSpec) benchFn() func(b *testing.B) {
+	if s.loop != nil {
+		return s.loop.bench
+	}
+	return s.fn
+}
+
+// engineBenchSpecs defines the tracked engine micro-benches.
+var engineBenchSpecs = []engineBenchSpec{
 	{name: "seq_dense_n1024", nodes: 1024, stepsPerOp: 1, fn: benchSequentialSteps(32, 32, 0)},
 	{name: "seq_sparse_n4096_live64", nodes: 4096, stepsPerOp: 1, fn: benchSequentialSteps(64, 64, 64)},
-	{name: "seq_dyn_churn_n1024", nodes: 1024, stepsPerOp: 1, fn: benchDynSteps(32, 32, 64)},
-	{name: "seq_dyn_churn_n1024_obs", nodes: 1024, stepsPerOp: 1, fn: benchDynStepsProbed(32, 32, 64)},
+	{name: "seq_dyn_churn_n1024", nodes: 1024, stepsPerOp: 1, loop: benchDynSteps(32, 32, 64, nil)},
+	{name: "seq_dyn_churn_n1024_obs", nodes: 1024, stepsPerOp: 1, loop: benchDynSteps(32, 32, 64, benchProbe)},
 	{name: "seq_sinr_n1024", nodes: 1024, stepsPerOp: 1, fn: benchSINRSteps(1024)},
 	{name: "seq_sinr_n4096", nodes: 4096, stepsPerOp: 1, fn: benchSINRSteps(4096)},
 	{name: "seq_sinr_n65536", nodes: 65536, stepsPerOp: 1, fn: benchSINRSteps(65536)},
 	{name: "sinr_dense_ref_n4096", nodes: 4096, stepsPerOp: 1, fn: benchSINRDenseRef(4096)},
+	{name: "seq_flood_n65536", nodes: 65536, stepsPerOp: 1, loop: benchFloodSteps(false)},
+	{name: "seq_flood_n65536_packed", nodes: 65536, stepsPerOp: 1, loop: benchFloodSteps(true)},
 	{name: "seq_sinr_n100000", nodes: 100000, stepsPerOp: 1, huge: true,
 		mem: hugeMem(hugeTopos[100000]), fn: benchStreamSINRSteps(hugeTopos[100000])},
 	{name: "seq_sinr_n1000000", nodes: 1000000, stepsPerOp: 1, huge: true,
@@ -487,7 +573,7 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 		if len(wanted) > 0 && !wanted[spec.name] {
 			continue
 		}
-		r, ns, err := runBench(spec.name, spec.fn)
+		r, ns, err := runBench(spec.name, spec.benchFn())
 		if err != nil {
 			return report, err
 		}
@@ -523,47 +609,89 @@ func measureEngineBench(includeHuge bool, filter string) (EngineBenchReport, err
 // instrumentation itself, not the hardware.
 const obsOverheadTolerance = 0.03
 
-// obsOverheadPairs is how many base/probed pairs the gate compares, the
-// report's own pair included.
-const obsOverheadPairs = 5
+// packedFlatBound caps how much slower the flood step loop may run over
+// packed adjacency than over the same lists flat, in the same run. On a
+// 2-vCPU host single pairs read 1.10–1.29 with bit-packed blocks, and
+// 1.61–1.67 with the delta-varint blocks they replaced.
+const packedFlatBound = 1.4
 
-// checkObsOverhead gates every <name>_obs row against its <name> base row
-// within report. Run as part of -engine-bench, baseline or not. One pair
-// swings far past 3% on a shared host, so measure re-runs the pair,
-// interleaved with alternating order, and the gate compares each side's
-// minimum ns/op: noise only adds time, while a real probe cost shows in
-// every repetition.
-func checkObsOverhead(report EngineBenchReport, measure func(name string) (float64, error), log io.Writer) error {
+// twinPairs is how many base/twin pairs a twin gate measures.
+const twinPairs = 40
+
+// twinWindow is how long one window of a twin gate runs. A shared host's
+// speed moves between regimes a few seconds long: on a 2-vCPU VM, 100-ms
+// windows of one row read 56–85 µs/step, and a window's reading correlates
+// at 0.77 with the next one's. Two windows run back to back therefore
+// mostly share a regime, and their ratio cancels it.
+const twinWindow = 100 * time.Millisecond
+
+// twinGate bounds, within one report, the ns/op ratio of every row named
+// <base><suffix> to its <base> row.
+type twinGate struct {
+	suffix string
+	bound  float64 // largest allowed twin/base ratio
+	label  string  // log and error prefix
+	fault  string  // what a breach means
+	// race keeps the gate in race-detector builds. The _obs twins run the
+	// same memory accesses as their base rows; the packed row runs more
+	// (about 2.3× the flat row's ns/op under the detector), so its bound
+	// holds only for a normal build.
+	race bool
+}
+
+var twinGates = []twinGate{
+	{"_obs", 1 + obsOverheadTolerance, "obs-overhead", "instrumentation leaked into the step loop", true},
+	{"_packed", packedFlatBound, "packed-flat", "decoding packed adjacency costs too much of the step", false},
+}
+
+// checkTwins applies every twin gate to report. Run as part of
+// -engine-bench, baseline or not. measure re-runs each twin and its base
+// row as twinPairs back-to-back pairs, alternating which goes first (in
+// -engine-bench one twinWindow per call; see windowMeasure), and the gate
+// holds the median of the pairs' twin/base ratios to its bound: a real
+// cost shows in every pair, while a host regime that holds for a pair
+// cancels in its ratio and the pairs that straddle a regime switch fall to
+// either side of the median. Each side's minimum over the pairs would
+// instead hang on one lucky window: with a concurrent test package on a
+// 2-vCPU VM the _obs minima read 0.93–1.04 of their base, the medians
+// 0.96–1.01. The report's own rows, measured seconds apart, are not
+// compared.
+func checkTwins(report EngineBenchReport, measure func(name string) (float64, error), log io.Writer) error {
 	byName := make(map[string]EngineBenchResult, len(report.Benchmarks))
 	for _, b := range report.Benchmarks {
 		byName[b.Name] = b
 	}
-	for _, b := range report.Benchmarks {
-		base, ok := byName[strings.TrimSuffix(b.Name, "_obs")]
-		if b.Name == base.Name || !ok {
+	for _, g := range twinGates {
+		if raceBuild && !g.race {
+			fmt.Fprintf(log, "%s: not gated in a race-detector build\n", g.label)
 			continue
 		}
-		probed, plain := b.NsPerOp, base.NsPerOp
-		sides := [2]struct {
-			name string
-			min  *float64
-		}{{base.Name, &plain}, {b.Name, &probed}}
-		for i := 1; i < obsOverheadPairs; i++ {
-			for j := range sides {
-				s := sides[(i+j)%2]
-				ns, err := measure(s.name)
-				if err != nil {
-					return err
-				}
-				*s.min = min(*s.min, ns)
+		for _, b := range report.Benchmarks {
+			base, ok := byName[strings.TrimSuffix(b.Name, g.suffix)]
+			if b.Name == base.Name || !ok {
+				continue
 			}
-		}
-		ratio := probed / plain
-		fmt.Fprintf(log, "obs-overhead: %-24s %12.0f ns/op vs %s %12.0f (%+.1f%%, min of %d pairs)\n",
-			b.Name, probed, base.Name, plain, (ratio-1)*100, obsOverheadPairs)
-		if ratio > 1+obsOverheadTolerance {
-			return fmt.Errorf("obs-overhead: %s is %.1f%% slower than %s (tolerance %.0f%%) — instrumentation leaked into the step loop",
-				b.Name, (ratio-1)*100, base.Name, obsOverheadTolerance*100)
+			names := [2]string{base.Name, b.Name}
+			ratios := make([]float64, twinPairs)
+			for i := range ratios {
+				var ns [2]float64
+				for j := range ns {
+					side := (i + j) % 2
+					var err error
+					if ns[side], err = measure(names[side]); err != nil {
+						return err
+					}
+				}
+				ratios[i] = ns[1] / ns[0]
+			}
+			slices.Sort(ratios)
+			ratio := (ratios[(twinPairs-1)/2] + ratios[twinPairs/2]) / 2
+			fmt.Fprintf(log, "%s: %-24s vs %-24s %+.1f%% (median of %d pair ratios, range %+.1f%% to %+.1f%%)\n",
+				g.label, b.Name, base.Name, (ratio-1)*100, twinPairs, (ratios[0]-1)*100, (ratios[twinPairs-1]-1)*100)
+			if ratio > g.bound {
+				return fmt.Errorf("%s: %s is %.1f%% slower than %s (bound %+.0f%%) — %s",
+					g.label, b.Name, (ratio-1)*100, base.Name, (g.bound-1)*100, g.fault)
+			}
 		}
 	}
 	return nil
@@ -578,16 +706,48 @@ func runBench(name string, fn func(b *testing.B)) (testing.BenchmarkResult, floa
 	return r, float64(r.T.Nanoseconds()) / float64(r.N), nil
 }
 
-// measureNsPerOp runs the named engine bench once more.
-func measureNsPerOp(name string) (float64, error) {
-	for _, spec := range engineBenchSpecs {
-		if spec.name == name {
-			_, ns, err := runBench(name, spec.fn)
-			return ns, err
-		}
+// windowMeasure returns checkTwins' measure for report: the ns/op of one
+// window of the named row's step loop, its step count sized from the row's
+// ns/op in report to last about twinWindow.
+func windowMeasure(report EngineBenchReport) func(name string) (float64, error) {
+	nsPerOp := make(map[string]float64, len(report.Benchmarks))
+	for _, b := range report.Benchmarks {
+		nsPerOp[b.Name] = b.NsPerOp
 	}
-	return 0, fmt.Errorf("no engine bench named %q", name)
+	return func(name string) (float64, error) {
+		for _, spec := range engineBenchSpecs {
+			if spec.name == name && spec.loop != nil && nsPerOp[name] > 0 {
+				return timeSteps(spec.loop, max(1, int(float64(twinWindow)/nsPerOp[name])))
+			}
+		}
+		return 0, fmt.Errorf("engine bench %q has no step loop and report row to re-measure", name)
+	}
 }
+
+// timeSteps runs loop for steps steps after a GC, as testing.Benchmark does
+// before each run, and returns its ns per step from the first Act to the
+// loop's return on stepClock. The step loop runs on the calling goroutine,
+// locked to its OS thread so that the thread's clock covers it; a loop that
+// allocates nothing leaves the GC's threads idle.
+func timeSteps(loop stepLoop, steps int) (float64, error) {
+	runtime.GC()
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	start := int64(-1)
+	if err := loop(steps, &timerArmer{reset: func() { start = stepClock() }}); err != nil {
+		return 0, err
+	}
+	if start < 0 {
+		return 0, fmt.Errorf("step loop never reached its first Act")
+	}
+	return float64(stepClock()-start) / float64(steps), nil
+}
+
+// clockOrigin anchors wallClock.
+var clockOrigin = time.Now()
+
+// wallClock reads the monotonic wall clock in ns.
+func wallClock() int64 { return int64(time.Since(clockOrigin)) }
 
 // writeEngineBench writes the JSON report to out.
 func writeEngineBench(report EngineBenchReport, out io.Writer) error {

@@ -74,7 +74,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "engine benchmarks written to %s\n", *engineBench)
-		if err := checkObsOverhead(report, measureNsPerOp, out); err != nil {
+		if err := checkTwins(report, windowMeasure(report), out); err != nil {
 			return err
 		}
 		if *benchBaseline != "" {

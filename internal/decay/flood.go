@@ -118,17 +118,30 @@ func (f *Flood) Act(step int, active, tx []int32) ([]int32, []int32) {
 	if f.done() {
 		return active[:0], tx
 	}
-	p := Pow2Neg(step%f.levels + 1)
+	shift, draw := coinShift(step%f.levels + 1)
+	if !draw {
+		return active, tx
+	}
 	for w, word := range f.holds {
 		for word != 0 {
 			v := w<<6 | bits.TrailingZeros64(word)
 			word &= word - 1
-			if f.rng[v].Bernoulli(p) {
+			if f.rng[v].Uint64()>>shift == 0 {
 				tx = append(tx, int32(v))
 			}
 		}
 	}
 	return active, tx
+}
+
+// coinShift turns the Decay coin Bernoulli(Pow2Neg(k)), k ≥ 1, into integer
+// form: it comes up exactly when the coin's one Uint64 draw x has
+// x>>shift == 0. Float64 is (x>>11)/2⁵³, so Float64() < 2⁻ᵏ ⇔
+// x>>11 < 2^(53−k) ⇔ x>>(64−k) == 0 for k ≤ 53; past 53 the float test
+// needs x>>11 == 0; and from 1075 on Pow2Neg(k) is 0, where Bernoulli
+// draws nothing (draw is false).
+func coinShift(k int) (shift uint, draw bool) {
+	return uint(64 - min(k, 53)), k < 1075
 }
 
 // Deliver implements radio.Population: each decoded listener adopts the

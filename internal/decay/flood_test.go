@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -481,4 +482,97 @@ func TestFloodRefusesWakeAt(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "WakeAt") {
 		t.Fatalf("WakeAt accepted: %v", err)
 	}
+}
+
+// TestCoinShiftMatchesBernoulli pins the flood's integer coin to the float
+// coin it replaced, Bernoulli(Pow2Neg(k)), for every level k a run can
+// reach: the same decision from the same one draw, over many draws, and
+// no draw at all where 2⁻ᵏ underflows to 0.
+func TestCoinShiftMatchesBernoulli(t *testing.T) {
+	for k := 1; k <= 1100; k++ {
+		shift, draw := coinShift(k)
+		draws := 20000
+		if k > 53 {
+			draws = 200
+		}
+		a, b := xrand.New(uint64(k)), xrand.New(uint64(k))
+		for i := 0; i < draws; i++ {
+			want := a.Bernoulli(Pow2Neg(k))
+			got := draw && b.Uint64()>>shift == 0
+			if got != want {
+				t.Fatalf("k=%d draw %d: integer coin %v, Bernoulli %v", k, i, got, want)
+			}
+		}
+		if a.Uint64() != b.Uint64() {
+			t.Fatalf("k=%d: the coins consumed different numbers of draws", k)
+		}
+		// Random draws almost never land on the rare side for large k, so
+		// check the boundary values of x directly, through Float64's
+		// definition (x>>11)/2⁵³.
+		for _, x := range []uint64{0, 1, 1<<11 - 1, 1 << 11, 1<<(64-min(k, 53)) - 1, 1 << (64 - min(k, 53)), math.MaxUint64} {
+			want := draw && float64(x>>11)/(1<<53) < Pow2Neg(k)
+			if got := draw && x>>shift == 0; got != want {
+				t.Fatalf("k=%d x=%#x: integer coin %v, float coin %v", k, x, got, want)
+			}
+		}
+	}
+}
+
+// packedVsFlat is the collision model over a packed snapshot that also
+// resolves every step over the snapshot's flat form, recording the first
+// step whose two outcomes differ in any entry or in order.
+type packedVsFlat struct {
+	*phy.Collision // over the packed snapshot: its outcome drives the run
+	flat           *phy.Collision
+	want           phy.Outcome
+	steps          int
+	diff           string
+}
+
+func (m *packedVsFlat) Sync(step int, csr *graph.CSR) error {
+	if err := m.Collision.Sync(step, csr); err != nil {
+		return err
+	}
+	return m.flat.Sync(step, csr.Unpack())
+}
+
+func (m *packedVsFlat) Resolve(f *phy.Frontier, out *phy.Outcome) {
+	m.want.Reset()
+	m.flat.Resolve(f, &m.want)
+	m.flat.Clear()
+	m.Collision.Resolve(f, out)
+	if m.diff == "" && (!slices.Equal(out.Decoded, m.want.Decoded) || !slices.Equal(out.Collided, m.want.Collided)) {
+		m.diff = fmt.Sprintf("step %d: packed %d decoded / %d collided, flat %d / %d",
+			m.steps, len(out.Decoded), len(out.Collided), len(m.want.Decoded), len(m.want.Collided))
+	}
+	m.steps++
+}
+
+// TestCollisionPackedMatchesFlatPerStep replays a whole n=2¹⁶ flood — the
+// scale where gen.BuildCSR packs — through Collision over the packed
+// snapshot and over its flat form, step by step: Decoded and Collided must
+// be identical, in the same order, on every step.
+func TestCollisionPackedMatchesFlatPerStep(t *testing.T) {
+	if testing.Short() {
+		t.Skip("an n=2¹⁶ flood takes seconds; skipped with -short")
+	}
+	csr, _, err := gen.BuildCSR("udg", graph.CompactThreshold, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !csr.IsPacked() {
+		t.Fatal("gen.BuildCSR returned a flat snapshot at the compact threshold")
+	}
+	m := &packedVsFlat{Collision: phy.NewCollision(), flat: phy.NewCollision()}
+	fl := NewFlood(17, 1<<16, map[int]int64{0: 1})
+	if _, err := radio.RunPopulation(csr, fl, radio.Options{MaxSteps: 1 << 16, Seed: 3, PHY: m}); err != nil {
+		t.Fatal(err)
+	}
+	if m.diff != "" {
+		t.Fatal(m.diff)
+	}
+	if fl.Complete() < 0 {
+		t.Fatalf("flood did not complete in %d steps", m.steps)
+	}
+	t.Logf("%d steps identical", m.steps)
 }

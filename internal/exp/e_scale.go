@@ -3,7 +3,7 @@ package exp
 // E24: the million-node path at experiment scale. The tracked engine
 // benches time the streaming pipeline; this experiment checks that the
 // protocols still *behave* on it — flood completes and Radio MIS produces a
-// valid MIS when the topology is streaming-built CSR (delta-packed above
+// valid MIS when the topology is streaming-built CSR (bit-packed above
 // the compact threshold) driven through the graph-free radio.RunCSR entry,
 // with the snapshot's bytes/node reported alongside. Quick runs n=1024 so
 // the determinism and CI suites stay fast; Full runs the n=10⁵ contract

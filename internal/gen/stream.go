@@ -57,19 +57,14 @@ func UDGDegTarget(n int) float64 {
 	return math.Log(float64(n)) + 3
 }
 
-// UDGCSR builds the unit disk graph on pts directly in frozen CSR form via
-// the streaming two-pass build. ok is false — callers fall back to
-// UDG(...).Freeze() — exactly when the grid index declines the deployment
-// (non-2-D, non-finite, degenerate radius). The result is list-for-list
-// identical to UDG(pts, radius).Freeze().
-func UDGCSR(pts []Point, radius float64) (*graph.CSR, bool) {
-	return udgStreamCSR(pts, radius)
-}
-
-// udgStreamCSR is the streaming build: pass 1 counts every vertex's full
-// degree (each pair evaluated from both endpoints — the predicate is
-// symmetric bit-for-bit, so the counts agree), the CSRBuilder turns counts
-// into offsets, pass 2 re-walks the same buckets filling arcs, and a final
+// udgStreamCSR builds the unit disk graph on pts directly in frozen CSR
+// form. ok is false — callers fall back to UDG(...).Freeze() — exactly when
+// the grid index declines the deployment (non-2-D, non-finite, degenerate
+// radius); otherwise the result is list-for-list identical to
+// UDG(pts, radius).Freeze(). Pass 1 counts every vertex's full degree (each
+// pair evaluated from both endpoints — the predicate is symmetric
+// bit-for-bit, so the counts agree), the CSRBuilder turns counts into
+// offsets, pass 2 re-walks the same buckets filling arcs, and a final
 // per-vertex sort lands on the Builder path's canonical ascending lists.
 func udgStreamCSR(pts []Point, radius float64) (*graph.CSR, bool) {
 	gg, ok := newGeoGrid2D(pts, radius)
@@ -121,8 +116,8 @@ func udgStreamCSR(pts []Point, radius float64) (*graph.CSR, bool) {
 // deployment ByNameWithPoints would (same seed derivation, same retry
 // discipline, so the graph is list-for-list the one ByName builds) but
 // assembles it directly in CSR form, packing the adjacency
-// (graph.CompactThreshold) once n is large enough for the ~3× edge-storage
-// saving to matter. Every other spec falls back to ByNameWithPoints +
+// (graph.CompactThreshold) once n is large enough for the edge-storage
+// saving (about 2× at 2¹⁶) to matter. Every other spec falls back to ByNameWithPoints +
 // Freeze — correct, just not streaming.
 func BuildCSR(name string, n int, seed uint64) (*graph.CSR, []Point, error) {
 	if n < 1 {

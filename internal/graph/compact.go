@@ -2,76 +2,152 @@ package graph
 
 // Compact adjacency: an alternative CSR storage form for the million-node
 // engine path (DESIGN.md §11). The flat form spends 4 bytes per directed
-// edge; on geometric graphs neighbor ids are spatially clustered, so a
-// per-vertex block of varint-coded deltas stores most edges in one byte.
-// A packed CSR answers the same N/M/Degree/Neighbors contract the engines
-// and traversals consume — only the iteration fast path changes, from an
-// edge-array subslice to a reused decode cursor (NeighborCursor), which is
-// what keeps the step loop zero-alloc (the alloc regression tests pin it).
+// edge; the packed form stores each list as frame-of-reference bit-packed
+// deltas (Lemire & Boytsov, arXiv:1209.2137), every delta of a list in the
+// same number of bits, so decoding an entry is one unaligned load, a shift
+// and a mask, with no branch on the data. A packed CSR answers the same
+// N/M/Degree/Neighbors contract the engines and traversals consume — only
+// the iteration fast path changes, from an edge-array subslice to a reused
+// decode cursor (NeighborCursor), which is what keeps the step loop
+// zero-alloc (the alloc regression tests pin it).
 //
 // Block format, per vertex, preserving exact list order (the transcript
 // contract depends on neighbor order, so packing must be lossless including
-// order): the first neighbor id as a plain uvarint, every subsequent entry
-// as the zigzag varint of its delta from the previous entry. Builder-made
-// lists are ascending (deltas positive, usually small), but the format
-// round-trips arbitrary order — deltas may be negative — so Pack works on
-// any snapshot, not just generator output.
+// order):
+//   - deg 0: no bytes;
+//   - the first neighbor id as a uvarint;
+//   - when deg ≥ 2, one header byte: the low bits hold the width b, the bit
+//     length of the block's largest delta, and blockZigzag marks a list
+//     that is not ascending, whose deltas are stored zigzag-coded;
+//   - then the deg−1 deltas from the previous entry, b bits each,
+//     LSB-first, padded to a byte.
+// Builder-made lists are ascending, so zigzag mode only serves snapshots
+// built in insertion order; Pack works on either. The blob ends with
+// blockSlack zero bytes, so the decoder's 8-byte load at the last entry of
+// the last block stays inside it.
 
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // CompactThreshold is the vertex count at and above which the streaming
 // generator entry points (gen.BuildCSR) hand back packed adjacency
 // automatically. Below it the flat form's iteration speed wins; above it
-// the ~3× edge-storage saving is what lets n = 10⁶ fit comfortably.
+// the edge-storage saving (about 2× at 2¹⁶, DESIGN.md §11) is what lets
+// n = 10⁶ fit comfortably.
 const CompactThreshold = 1 << 16
+
+const (
+	blockWidth  = 0x3f // header bits holding the delta width (≤ 33)
+	blockZigzag = 0x80 // header flag: deltas are zigzag-coded
+	blockSlack  = 8    // zero bytes after the last block
+)
 
 // packed reports whether this snapshot stores packed adjacency.
 func (c *CSR) packed() bool { return c.blob != nil }
 
-// IsPacked reports whether the snapshot stores delta-varint adjacency
-// blocks instead of the flat edge array.
+// IsPacked reports whether the snapshot stores bit-packed adjacency blocks
+// instead of the flat edge array.
 func (c *CSR) IsPacked() bool { return c.packed() }
 
 // Pack returns a snapshot equivalent to c (same vertex count, same neighbor
-// lists in the same order) with the adjacency delta-varint encoded. The
-// offsets table is shared with c — it is immutable and still provides
-// Degree — while the flat edge array is replaced by the byte blob. Returns
-// c unchanged when it is already packed, or in the degenerate case where
-// the blob would overflow the 32-bit block-start table (unreachable below
-// ~2³¹ edges).
+// lists in the same order) with the adjacency bit-packed. The offsets table
+// is shared with c — it is immutable and still provides Degree — while the
+// flat edge array is replaced by the byte blob. Returns c unchanged when it
+// is already packed, or in the degenerate case where the blob would
+// overflow the 32-bit block-start table (unreachable below ~2³¹ edges).
 func (c *CSR) Pack() *CSR {
 	if c.packed() {
 		return c
 	}
 	n := c.N()
-	starts := make([]uint32, n+1)
-	// Ascending geometric lists make ~1 byte per edge the common case; seed
-	// the buffer there and let append grow it for adversarial lists.
-	buf := make([]byte, 0, len(c.edges)+len(c.edges)/4+16)
-	var tmp [binary.MaxVarintLen64]byte
-	for v := 0; v < n; v++ {
-		starts[v] = uint32(len(buf))
+	// A sizing pass picks every block's header, so the blob is allocated
+	// once, at its exact size: it stays resident for the whole run.
+	hdrs := make([]byte, n)
+	size := blockSlack
+	for v := range n {
 		list := c.edges[c.offsets[v]:c.offsets[v+1]]
-		prev := int64(0)
-		for i, w := range list {
-			var k int
-			if i == 0 {
-				k = binary.PutUvarint(tmp[:], uint64(uint32(w)))
-			} else {
-				k = binary.PutVarint(tmp[:], int64(w)-prev)
-			}
-			buf = append(buf, tmp[:k]...)
-			prev = int64(w)
-		}
-		if len(buf) > math.MaxUint32 {
-			return c
-		}
+		hdrs[v] = blockHeader(list)
+		size += blockLen(list, hdrs[v])
+	}
+	if size > math.MaxUint32 {
+		return c
+	}
+	starts := make([]uint32, n+1)
+	buf := make([]byte, 0, size)
+	for v := range n {
+		starts[v] = uint32(len(buf))
+		buf = appendBlock(buf, c.edges[c.offsets[v]:c.offsets[v+1]], hdrs[v])
 	}
 	starts[n] = uint32(len(buf))
-	return &CSR{offsets: c.offsets, blob: buf, starts: starts}
+	return &CSR{offsets: c.offsets, blob: buf[:size], starts: starts}
+}
+
+// blockHeader is the header byte of list's block: the zigzag flag when the
+// list is not ascending, and the width of its widest stored delta.
+func blockHeader(list []int32) byte {
+	var hdr byte
+	for i := 1; i < len(list); i++ {
+		if list[i] < list[i-1] {
+			hdr = blockZigzag
+			break
+		}
+	}
+	var widest uint64
+	for i := 1; i < len(list); i++ {
+		widest |= blockDelta(hdr, list[i-1], list[i])
+	}
+	return hdr | byte(bits.Len64(widest))
+}
+
+// blockLen is the byte length of list's block under header hdr.
+func blockLen(list []int32, hdr byte) int {
+	if len(list) == 0 {
+		return 0
+	}
+	first := (bits.Len32(uint32(list[0])|1) + 6) / 7
+	if len(list) == 1 {
+		return first
+	}
+	return first + 1 + ((len(list)-1)*int(hdr&blockWidth)+7)/8
+}
+
+// appendBlock appends list's block, under header hdr, to buf.
+func appendBlock(buf []byte, list []int32, hdr byte) []byte {
+	if len(list) == 0 {
+		return buf
+	}
+	buf = binary.AppendUvarint(buf, uint64(uint32(list[0])))
+	if len(list) == 1 {
+		return buf
+	}
+	buf = append(buf, hdr)
+	w := uint(hdr & blockWidth)
+	var acc uint64 // pending bits, LSB first: at most 7 + 33 of them
+	var pending uint
+	for i := 1; i < len(list); i++ {
+		acc |= blockDelta(hdr, list[i-1], list[i]) << pending
+		for pending += w; pending >= 8; pending -= 8 {
+			buf = append(buf, byte(acc))
+			acc >>= 8
+		}
+	}
+	if pending > 0 {
+		buf = append(buf, byte(acc))
+	}
+	return buf
+}
+
+// blockDelta is the stored form of the step from prev to next: the plain
+// difference in an ascending block, its zigzag code otherwise.
+func blockDelta(hdr byte, prev, next int32) uint64 {
+	d := int64(next) - int64(prev)
+	if hdr&blockZigzag == 0 {
+		return uint64(d)
+	}
+	return uint64(d<<1 ^ d>>63)
 }
 
 // Unpack returns the flat-form equivalent of c (c itself when already flat).
@@ -82,26 +158,44 @@ func (c *CSR) Unpack() *CSR {
 	n := c.N()
 	edges := make([]int32, c.offsets[n])
 	for v := 0; v < n; v++ {
-		decodeBlock(c.blob[c.starts[v]:c.starts[v+1]], edges[c.offsets[v]:c.offsets[v+1]])
+		decodeBlock(c.blob[c.starts[v]:], edges[c.offsets[v]:c.offsets[v+1]])
 	}
 	return &CSR{offsets: c.offsets, edges: edges}
 }
 
-// decodeBlock decodes one vertex's delta-varint block into out, whose
-// length must be the vertex's degree.
+// decodeBlock decodes the block at the head of b into out, whose length
+// must be the vertex's degree. b runs to the end of the blob, so the slack
+// bytes make every entry's 8-byte load in bounds.
 func decodeBlock(b []byte, out []int32) {
 	if len(out) == 0 {
 		return
 	}
-	u, k := binary.Uvarint(b)
-	b = b[k:]
-	prev := int32(uint32(u))
+	first, k := binary.Uvarint(b)
+	prev := int32(uint32(first))
 	out[0] = prev
-	for i := 1; i < len(out); i++ {
-		d, k := binary.Varint(b)
-		b = b[k:]
-		prev += int32(d)
-		out[i] = prev
+	if len(out) == 1 {
+		return
+	}
+	hdr := b[k]
+	b = b[k+1:]
+	w := uint(hdr & blockWidth)
+	mask := uint64(1)<<w - 1
+	rest := out[1:]
+	pos := uint(0)
+	if hdr&blockZigzag == 0 {
+		for i := range rest {
+			x := binary.LittleEndian.Uint64(b[pos>>3:]) >> (pos & 7) & mask
+			prev += int32(x)
+			rest[i] = prev
+			pos += w
+		}
+		return
+	}
+	for i := range rest {
+		x := binary.LittleEndian.Uint64(b[pos>>3:]) >> (pos & 7) & mask
+		prev += int32(x>>1) ^ -int32(x&1)
+		rest[i] = prev
+		pos += w
 	}
 }
 
@@ -137,7 +231,7 @@ func (cur *NeighborCursor) List(v int) []int32 {
 		return c.edges[c.offsets[v]:c.offsets[v+1]]
 	}
 	out := cur.buf[:c.offsets[v+1]-c.offsets[v]]
-	decodeBlock(c.blob[c.starts[v]:c.starts[v+1]], out)
+	decodeBlock(c.blob[c.starts[v]:], out)
 	return out
 }
 

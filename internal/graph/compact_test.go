@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -264,12 +265,17 @@ func TestCSRBuilderMatchesBuilder(t *testing.T) {
 	}
 }
 
-// FuzzPackRoundTrip fuzzes the compact-adjacency satellite claim: for any
-// graph (built from a random byte-stream of edges, same decoding as
-// FuzzBuilderVsAddEdge), pack → unpack reproduces the flat snapshot exactly,
-// and the packed form answers Neighbors/Cursor identically to flat. The
-// varint blocks must round-trip arbitrary list order, so the stream replays
-// through AddEdge (insertion order, deltas of both signs).
+// FuzzPackRoundTrip fuzzes the compact-adjacency claim: for any list set,
+// pack → unpack reproduces the flat snapshot exactly, the packed form
+// answers Neighbors/Cursor identically to flat, and the blob is its blocks
+// plus exactly blockSlack zero bytes. A first byte below 0x80 builds a
+// graph from a byte-stream of edges replayed through AddEdge (insertion
+// order, so deltas of both signs); a first byte at or above it writes raw
+// lists of arbitrary 32-bit ids (fuzzRawCSR), which reach what no small
+// graph can: duplicate ids (width 0) and ids near ±2³¹, whose zigzag
+// deltas take 33 bits. The two f.Add seeds are small AddEdge graphs; the
+// seed corpus under testdata/fuzz/FuzzPackRoundTrip pins those corners. All
+// run as ordinary test cases in `go test`.
 func FuzzPackRoundTrip(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 0, 4, 3, 2})
 	f.Add([]byte{32, 31, 0, 0, 31, 15, 16})
@@ -277,24 +283,37 @@ func FuzzPackRoundTrip(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		n := int(data[0]) % 48
-		g := New(n)
-		stream := data[1:]
-		span := n + 1
-		if span < 1 {
-			span = 1
+		var flat *CSR
+		if data[0] < 0x80 {
+			n := int(data[0]) % 48
+			g := New(n)
+			stream := data[1:]
+			for i := 0; i+1 < len(stream); i += 2 {
+				g.AddEdge(int(stream[i])%(n+1), int(stream[i+1])%(n+1))
+			}
+			flat = g.Freeze()
+		} else {
+			flat = fuzzRawCSR(data[1:], int(data[0]&0x7f)%9)
 		}
-		for i := 0; i+1 < len(stream); i += 2 {
-			g.AddEdge(int(stream[i])%span, int(stream[i+1])%span)
-		}
-		flat := g.Freeze()
 		packed := flat.Pack()
+		if !packed.IsPacked() {
+			t.Fatalf("Pack returned the flat form")
+		}
+		n := flat.N()
+		if end := int(packed.starts[n]); len(packed.blob) != end+blockSlack || cap(packed.blob) != len(packed.blob) {
+			t.Fatalf("blob len %d cap %d, want blocks %d + %d slack, exact cap", len(packed.blob), cap(packed.blob), end, blockSlack)
+		}
+		for _, b := range packed.blob[packed.starts[n]:] {
+			if b != 0 {
+				t.Fatalf("slack byte %#x, want 0", b)
+			}
+		}
 		if !flat.Equal(packed) {
 			t.Fatalf("packed not Equal to flat")
 		}
 		back := packed.Unpack()
-		if back.N() != flat.N() {
-			t.Fatalf("N changed: %d vs %d", back.N(), flat.N())
+		if back.N() != n {
+			t.Fatalf("N changed: %d vs %d", back.N(), n)
 		}
 		cur := packed.Cursor()
 		for v := 0; v < n; v++ {
@@ -311,4 +330,55 @@ func FuzzPackRoundTrip(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fuzzRawCSR builds an n-vertex snapshot straight from bytes, bypassing the
+// graph invariants the format does not depend on (symmetry, ids in range,
+// no duplicates): vertex v's degree is one byte mod 8, then each id is a
+// little-endian 32-bit word. Input running out ends the current list, and
+// the remaining vertices get degree 0.
+func fuzzRawCSR(data []byte, n int) *CSR {
+	offsets := make([]int32, n+1)
+	var edges []int32
+	for v := 0; v < n; v++ {
+		if len(data) > 0 {
+			deg := int(data[0] % 8)
+			data = data[1:]
+			for ; deg > 0 && len(data) >= 4; deg-- {
+				edges = append(edges, int32(binary.LittleEndian.Uint32(data)))
+				data = data[4:]
+			}
+		}
+		offsets[v+1] = int32(len(edges))
+	}
+	return &CSR{offsets: offsets, edges: edges}
+}
+
+// TestPackBlockHeaders pins the header byte Pack picks for the format's
+// corner cases, so the fuzz corpus entries that name them really reach
+// them: width 0, zigzag mode, and the widest deltas in either mode.
+func TestPackBlockHeaders(t *testing.T) {
+	const lo, hi = -1 << 31, 1<<31 - 1
+	for _, tc := range []struct {
+		list []int32
+		hdr  byte
+	}{
+		{[]int32{5, 5, 5, 5}, 0},
+		{[]int32{1, 2, 4, 8}, 3},
+		{[]int32{4, 1, 3}, blockZigzag | 3}, // deltas −3, +2 zigzag to 5, 4
+		{[]int32{lo, hi}, 32},
+		{[]int32{hi, lo, hi}, blockZigzag | 33},
+	} {
+		if got := blockHeader(tc.list); got != tc.hdr {
+			t.Errorf("blockHeader(%v) = %#x, want %#x", tc.list, got, tc.hdr)
+		}
+		flat := &CSR{offsets: []int32{0, int32(len(tc.list))}, edges: tc.list}
+		packed := flat.Pack()
+		if !flat.Equal(packed) {
+			t.Errorf("%v: packed form differs", tc.list)
+		}
+		if got := len(packed.blob); got != blockLen(tc.list, tc.hdr)+blockSlack {
+			t.Errorf("%v: blob %d bytes, want %d + %d slack", tc.list, got, blockLen(tc.list, tc.hdr), blockSlack)
+		}
+	}
 }

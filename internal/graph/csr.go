@@ -18,8 +18,8 @@ package graph
 // and continuing to use an old CSR snapshot is a caller bug.
 //
 // A snapshot stores its adjacency in one of two forms: the flat edge array
-// (every CSR the Builder or Freeze produces) or the delta-varint packed
-// blob (Pack, compact.go) behind the same accessor contract. Degree and the
+// (every CSR the Builder or Freeze produces) or the bit-packed blob (Pack,
+// compact.go) behind the same accessor contract. Degree and the
 // offsets table are identical in both; only how a neighbor list is fetched
 // differs, and zero-alloc consumers go through NeighborCursor so the form
 // never leaks into the step loop.
@@ -27,8 +27,9 @@ type CSR struct {
 	offsets []int32 // len n+1; neighbor list of v is edges[offsets[v]:offsets[v+1]]
 	edges   []int32 // len 2m; nil when packed
 
-	// Packed form (compact.go): blob holds per-vertex delta-varint neighbor
-	// blocks, starts their byte offsets (len n+1). Both nil when flat.
+	// Packed form (compact.go): blob holds per-vertex bit-packed neighbor
+	// blocks and the trailing slack, starts their byte offsets (len n+1).
+	// Both nil when flat.
 	blob   []byte
 	starts []uint32
 }
@@ -51,7 +52,7 @@ func (c *CSR) Neighbors(v int) []int32 {
 		return c.edges[c.offsets[v]:c.offsets[v+1]]
 	}
 	out := make([]int32, c.offsets[v+1]-c.offsets[v])
-	decodeBlock(c.blob[c.starts[v]:c.starts[v+1]], out)
+	decodeBlock(c.blob[c.starts[v]:], out)
 	return out
 }
 

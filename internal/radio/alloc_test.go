@@ -140,10 +140,10 @@ func TestSequentialStepZeroAllocProbeArmed(t *testing.T) {
 }
 
 // TestSequentialStepZeroAllocPackedCSR repeats the differential on the
-// graph-free RunCSR path with the adjacency delta-packed: the collision
+// graph-free RunCSR path with the adjacency bit-packed: the collision
 // model's neighbor cursor must decode blocks into its Sync-time scratch, so
 // the step loop stays allocation-free even though every neighbor list is now
-// varint-encoded. The packed snapshot and cursor scratch are built per run
+// packed. The packed snapshot and cursor scratch are built per run
 // (construction side) and cancel between the run lengths. Deliberately
 // placed after the ProbeArmed differential above: that test compares two
 // absolute allocation counts (probed vs bare) and is sensitive to the heap
