@@ -53,6 +53,19 @@ func ByNameWithPoints(name string, n int, seed uint64) (*graph.Graph, []Point, e
 	if n < 1 {
 		return nil, nil, fmt.Errorf("gen: need n ≥ 1, got %d", n)
 	}
+	if name == "udg" || name == "phy:sinr" {
+		// The SINR deployment convention is the "udg" class itself: a
+		// connected unit-range UDG at average degree ~8 (connectivity-scaled
+		// for huge n, see UDGDegTarget), with the points retained for the
+		// reception model. The unit disk is the decode range of the default
+		// phy.SINRParams; runners with non-default params derive their own
+		// connectivity view from the points (SINRConnectivity).
+		c, pts, err := canonicalUDG(n, seed)
+		if err != nil {
+			return nil, nil, err
+		}
+		return graph.FromCSR(c), pts, nil
+	}
 	if kind, class, ok := splitDynSpec(name); ok {
 		if err := validateDynSpec(name, kind, class); err != nil {
 			return nil, nil, err
@@ -69,25 +82,10 @@ func ByNameWithPoints(name string, n int, seed uint64) (*graph.Graph, []Point, e
 			return sched.CSR(0).Graph(), sched.PositionsAt(0), nil
 		}
 		if kind == "phy" {
-			if class == "sinr" {
-				// The SINR deployment convention: a connected unit-range UDG
-				// at average degree ~8 (connectivity-scaled for huge n, see
-				// UDGDegTarget), like the "udg" class but with the points
-				// retained for the reception model. The unit disk is the
-				// decode range of the default phy.SINRParams; runners with
-				// non-default params derive their own connectivity view from
-				// the points (SINRConnectivity).
-				g, pts, err := ConnectedUDG(n, UDGDegTarget(n), 60, xrand.New(seed^0x517cc1b727220a95))
-				return g, pts, err
-			}
 			return ByNameWithPoints(strings.TrimPrefix(class, "cd:"), n, seed)
 		}
 		g, err := ByName(class, n, seed)
 		return g, nil, err
-	}
-	if name == "udg" {
-		g, pts, err := ConnectedUDG(n, UDGDegTarget(n), 60, xrand.New(seed^0x517cc1b727220a95))
-		return g, pts, err
 	}
 	g, err := byStaticName(name, n, seed)
 	return g, nil, err

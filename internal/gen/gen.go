@@ -1,8 +1,8 @@
 // Package gen generates the graph classes studied by the paper (§1.3):
 // general graphs (paths, cycles, cliques, stars, grids, random trees, G(n,p))
 // and the geometric-derived families — unit disk graphs, quasi unit disk
-// graphs, unit ball graphs over doubling metrics, and (undirected) geometric
-// radio networks — plus adversarial hybrids used for ablations.
+// graphs and (undirected) geometric radio networks — plus adversarial
+// hybrids used for ablations.
 //
 // All generators are deterministic given an xrand.RNG, and geometric
 // generators also return the point set so experiments can inspect geometry.
@@ -10,7 +10,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/graph"
 	"repro/internal/phy"
@@ -141,33 +140,24 @@ func UniformPoints(n, dim int, side float64, rng *xrand.RNG) []Point {
 
 // UDG builds the unit disk graph on pts with connection radius radius:
 // an edge {u,v} iff Euclidean distance ≤ radius. Finite 2-D deployments
-// take a grid-bucketed O(n + m) path that is list-for-list identical to
-// the naive scan — above StreamThreshold the streaming direct-to-CSR
-// variant, which skips the Builder's edge staging entirely; everything
-// else (other dimensions, non-finite inputs, degenerate radii) falls back
-// to the quadratic reference.
+// go through the one grid walk straight to CSR (udgStreamCSR), expected
+// O(n + m) and list-for-list identical to the naive scan; everything else
+// (other dimensions, non-finite inputs, degenerate radii) falls back to
+// that quadratic scan.
 func UDG(pts []Point, radius float64) *graph.Graph {
-	if len(pts) >= StreamThreshold {
-		if c, ok := udgStreamCSR(pts, radius); ok {
-			return graph.FromCSR(c)
-		}
+	if c, ok := udgStreamCSR(pts, radius); ok {
+		return graph.FromCSR(c)
 	}
-	if g, ok := udgGrid2D(pts, radius); ok {
-		return g
-	}
-	return thresholdGraph(pts, radius, Point.Dist)
+	return thresholdGraph(pts, radius)
 }
 
-// UnitBallLInf builds the unit ball graph under the ℓ∞ (doubling) metric.
-func UnitBallLInf(pts []Point, radius float64) *graph.Graph {
-	return thresholdGraph(pts, radius, Point.DistLInf)
-}
-
-func thresholdGraph(pts []Point, radius float64, dist func(Point, Point) float64) *graph.Graph {
+// thresholdGraph is the quadratic reference scan: {i,j} for every pair at
+// Euclidean distance ≤ radius, added in lexicographic order.
+func thresholdGraph(pts []Point, radius float64) *graph.Graph {
 	b := graph.NewBuilder(len(pts))
 	for i := range pts {
 		for j := i + 1; j < len(pts); j++ {
-			if dist(pts[i], pts[j]) <= radius {
+			if pts[i].Dist(pts[j]) <= radius {
 				b.Add(i, j)
 			}
 		}
@@ -226,17 +216,11 @@ func GeometricRadioNetwork(pts []Point, minRange, maxRange float64, rng *xrand.R
 // ConnectedUDG generates points until the UDG is connected, scaling the
 // deployment area so expected degree stays near degTarget.
 func ConnectedUDG(n int, degTarget float64, tries int, rng *xrand.RNG) (*graph.Graph, []Point, error) {
-	// With n points in side², expected neighbors within radius 1 is
-	// approximately n·π/side²; choose side to hit degTarget.
-	side := math.Sqrt(float64(n) * math.Pi / degTarget)
-	for t := 0; t < tries; t++ {
-		pts := UniformPoints(n, 2, side, rng)
-		g := UDG(pts, 1)
-		if g.Connected() {
-			return g, pts, nil
-		}
+	c, pts, err := connectedUDG(n, degTarget, tries, rng)
+	if err != nil {
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("gen: no connected UDG(n=%d, deg=%v) in %d tries", n, degTarget, tries)
+	return graph.FromCSR(c), pts, nil
 }
 
 // SINRConnectivity returns the zero-interference reachability graph of a
@@ -341,42 +325,4 @@ func tryRegular(n, d int, rng *xrand.RNG) (*graph.Graph, bool) {
 		g.AddEdge(u, v)
 	}
 	return g, true
-}
-
-// DoublingTreePoints places n points on a b-ary tree metric of depth depth:
-// the distance between leaves is the tree distance. This exercises unit ball
-// graphs over a non-Euclidean doubling metric. It returns the pairwise
-// threshold graph at the given radius directly (points are implicit).
-func DoublingTreeBallGraph(b, depth int, radius int) *graph.Graph {
-	// Enumerate leaves of the complete b-ary tree of given depth; the metric
-	// between leaves x,y is 2·(depth − lca_depth(x,y)).
-	n := 1
-	for i := 0; i < depth; i++ {
-		n *= b
-	}
-	bld := graph.NewBuilder(n)
-	digits := func(x int) []int {
-		ds := make([]int, depth)
-		for i := depth - 1; i >= 0; i-- {
-			ds[i] = x % b
-			x /= b
-		}
-		return ds
-	}
-	all := make([][]int, n)
-	for v := 0; v < n; v++ {
-		all[v] = digits(v)
-	}
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			common := 0
-			for common < depth && all[u][common] == all[v][common] {
-				common++
-			}
-			if 2*(depth-common) <= radius {
-				bld.Add(u, v)
-			}
-		}
-	}
-	return bld.Build()
 }

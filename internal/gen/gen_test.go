@@ -189,22 +189,6 @@ func TestGeometricRadioNetworkMutualEdges(t *testing.T) {
 	}
 }
 
-func TestUnitBallLInf(t *testing.T) {
-	pts := []Point{{0, 0}, {0.9, 0.9}, {2, 2}}
-	g := UnitBallLInf(pts, 1)
-	if !g.HasEdge(0, 1) {
-		t.Fatal("ℓ∞ distance 0.9 should connect at radius 1")
-	}
-	if g.HasEdge(0, 2) {
-		t.Fatal("ℓ∞ distance 2 must not connect")
-	}
-	// Euclidean version would NOT connect 0-1 (dist ≈ 1.27 > 1).
-	ge := UDG(pts, 1)
-	if ge.HasEdge(0, 1) {
-		t.Fatal("euclidean check: expected no edge")
-	}
-}
-
 func TestCliqueChain(t *testing.T) {
 	g := CliqueChain(5, 4)
 	if g.N() != 20 {
@@ -236,21 +220,6 @@ func TestLollipop(t *testing.T) {
 	if !ok || a != 6 {
 		// clique contributes 1, tail of 10 contributes 5 → 6 total
 		t.Fatalf("α(lollipop) = %d, want 6", a)
-	}
-}
-
-func TestDoublingTreeBallGraph(t *testing.T) {
-	g := DoublingTreeBallGraph(2, 4, 2)
-	if g.N() != 16 {
-		t.Fatalf("N = %d", g.N())
-	}
-	// Radius 2 connects exactly sibling pairs (tree distance 2).
-	if g.M() != 8 {
-		t.Fatalf("M = %d, want 8 sibling edges", g.M())
-	}
-	gAll := DoublingTreeBallGraph(2, 3, 6)
-	if gAll.M() != 8*7/2 {
-		t.Fatalf("radius=2·depth should give a clique, M = %d", gAll.M())
 	}
 }
 

@@ -32,21 +32,13 @@ func MobileUDG(n, epochs, epochLen int, speed float64, rng *xrand.RNG) (*dyn.Sch
 	if speed < 0 {
 		return nil, fmt.Errorf("gen: MobileUDG needs speed >= 0, got %g", speed)
 	}
-	side := math.Sqrt(float64(n) * math.Pi / 8)
-	var pts []Point
-	var g0 *graph.Graph
-	for t := 0; ; t++ {
-		pts = UniformPoints(n, 2, side, rng)
-		g0 = UDG(pts, 1)
-		if g0.Connected() {
-			break
-		}
-		if t >= 60 {
-			return nil, fmt.Errorf("gen: no connected initial UDG(n=%d) found", n)
-		}
+	c0, pts, err := connectedUDG(n, 8, 61, rng)
+	if err != nil {
+		return nil, fmt.Errorf("gen: no connected initial UDG(n=%d) found", n)
 	}
+	side := math.Sqrt(float64(n) * math.Pi / 8)
 	waypoints := UniformPoints(n, 2, side, rng)
-	graphs := []*graph.Graph{g0}
+	graphs := []*graph.Graph{graph.FromCSR(c0)}
 	positions := [][]Point{clonePoints(pts)}
 	for e := 1; e <= epochs; e++ {
 		for i := range pts {

@@ -1,6 +1,7 @@
 package gen
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -65,7 +66,7 @@ func TestStreamCSRBoundaryPairs(t *testing.T) {
 	if !ok {
 		t.Fatal("stream path refused a spread-out deployment")
 	}
-	sameCSR(t, c, thresholdGraph(pts, r, Point.Dist).Freeze(), "boundary")
+	sameCSR(t, c, thresholdGraph(pts, r).Freeze(), "boundary")
 }
 
 // TestStreamCSRDeclines: the streaming path must decline exactly the inputs
@@ -82,23 +83,61 @@ func TestStreamCSRDeclines(t *testing.T) {
 	}
 }
 
-// TestUDGRoutesThroughStream: above StreamThreshold the public UDG wrapper
-// uses the streaming build; the result must still match the Builder path
-// (checked on a sampled subset — the full quadratic reference is too slow
-// at this n).
+// TestUDGRoutesThroughStream: the public UDG wrapper goes through the one
+// grid walk at every n and must equal the Builder-backed grid oracle (the
+// quadratic scan where the oracle declines, as at n ≤ 2), from one vertex
+// up to 2¹⁵.
 func TestUDGRoutesThroughStream(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-n routing check skipped in -short")
+	for _, n := range []int{1, 2, 600, 1 << 15} {
+		if n > 600 && testing.Short() {
+			t.Skip("large-n routing check skipped in -short")
+		}
+		side := math.Sqrt(float64(n) * math.Pi / 8)
+		pts := UniformPoints(n, 2, side, xrand.New(5))
+		want, ok := udgGrid2D(pts, 1)
+		if !ok {
+			want = thresholdGraph(pts, 1)
+		}
+		sameAdjacency(t, UDG(pts, 1), want, fmt.Sprintf("n=%d", n))
 	}
-	n := StreamThreshold
-	side := math.Sqrt(float64(n) * math.Pi / 8)
-	pts := UniformPoints(n, 2, side, xrand.New(5))
-	g := UDG(pts, 1)
-	want, ok := udgGrid2D(pts, 1)
-	if !ok {
-		t.Fatal("grid path refused the deployment")
+}
+
+// TestConnectedUDGFailureText pins the error a disconnected canonical draw
+// returns: the service maps it to a 500 whose body the end-to-end
+// benchmark recognises by "no connected UDG", so one shared draw loop must
+// keep the same try count and words for every caller.
+func TestConnectedUDGFailureText(t *testing.T) {
+	const want = "gen: no connected UDG(n=4096, deg=8) in 60 tries"
+	for _, name := range []string{"udg", "phy:sinr"} {
+		if _, err := ByName(name, 4096, 2); err == nil || err.Error() != want {
+			t.Fatalf("ByName(%q, 4096, 2) error = %v, want %q", name, err, want)
+		}
 	}
-	sameAdjacency(t, g, want, "routed")
+	if _, _, err := BuildCSR("udg", 4096, 2); err == nil || err.Error() != want {
+		t.Fatalf("BuildCSR error = %v, want %q", err, want)
+	}
+	const wantMobile = "gen: no connected initial UDG(n=4096) found"
+	if _, err := ScheduleByName("mobile:udg", 4096, 0, 1, 0, 2); err == nil || err.Error() != wantMobile {
+		t.Fatalf("mobile:udg error = %v, want %q", err, wantMobile)
+	}
+}
+
+// TestConnectedUDGDrawCount: each try of the draw loop consumes exactly one
+// UniformPoints draw, so a failed loop leaves the RNG where that many draws
+// leave it and a given seed fails or succeeds on the same try as before.
+func TestConnectedUDGDrawCount(t *testing.T) {
+	const n, tries = 50, 7
+	rng, ref := xrand.New(3), xrand.New(3)
+	if _, _, err := connectedUDG(n, 0.01, tries, rng); err == nil {
+		t.Fatal("a degree-0.01 deployment came out connected")
+	}
+	side := math.Sqrt(n * math.Pi / 0.01)
+	for range tries {
+		UniformPoints(n, 2, side, ref)
+	}
+	if rng.Uint64() != ref.Uint64() {
+		t.Fatalf("%d failed tries consumed a different amount of randomness than %d draws", tries, tries)
+	}
 }
 
 // TestBuildCSRMatchesByName pins BuildCSR's promise: for the streaming-
@@ -203,4 +242,24 @@ func FuzzStreamCSRVsBuilder(f *testing.F) {
 			t.Fatal("Equal=false but lists match (offsets disagree?)")
 		}
 	})
+}
+
+// BenchmarkUDGBuild times the one UDG builder from points to CSR on the
+// canonical deployment density (UDGDegTarget); 65536 is the perfbench
+// flood size:
+//
+//	go test -run xxx -bench UDGBuild -benchmem ./internal/gen
+func BenchmarkUDGBuild(b *testing.B) {
+	for _, n := range []int{1024, 4096, 65536} {
+		side := math.Sqrt(float64(n) * math.Pi / UDGDegTarget(n))
+		pts := UniformPoints(n, 2, side, xrand.New(1))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, ok := udgStreamCSR(pts, 1); !ok {
+					b.Fatal("grid declined the deployment")
+				}
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -36,7 +37,7 @@ func TestUDGGridMatchesQuadratic(t *testing.T) {
 			side := math.Sqrt(float64(n+1)) * 1.5
 			pts := UniformPoints(n, 2, side, rng)
 			fast, ok := udgGrid2D(pts, radius)
-			want := thresholdGraph(pts, radius, Point.Dist)
+			want := thresholdGraph(pts, radius)
 			if !ok {
 				// Degenerate geometry (radius covers the box): the public
 				// wrapper falls back; nothing to compare.
@@ -65,7 +66,7 @@ func TestUDGGridBoundaryPairs(t *testing.T) {
 	if !ok {
 		t.Fatal("grid path refused a spread-out deployment")
 	}
-	sameAdjacency(t, fast, thresholdGraph(pts, r, Point.Dist), "boundary")
+	sameAdjacency(t, fast, thresholdGraph(pts, r), "boundary")
 	if !fast.HasEdge(0, 1) || !fast.HasEdge(2, 3) {
 		t.Fatal("exact-radius pair lost")
 	}
@@ -118,9 +119,49 @@ func TestUDGGridSparseCoarsening(t *testing.T) {
 	if !ok {
 		t.Fatal("grid path refused sparse deployment")
 	}
-	want := thresholdGraph(pts, 0.015, Point.Dist)
+	want := thresholdGraph(pts, 0.015)
 	if want.M() == 0 {
 		t.Fatal("test geometry produced no edges; nothing exercised")
 	}
 	sameAdjacency(t, fast, want, "sparse")
+}
+
+// udgGrid2D is the Builder-backed grid oracle for udgStreamCSR: the same
+// geoGrid2D buckets and per-pair predicate, but every forward pair added
+// through graph.Builder in lexicographic (i, j) order, the way the
+// quadratic scan adds them. The tests below hold it to thresholdGraph; the
+// stream tests hold udgStreamCSR to it at sizes the quadratic scan cannot
+// reach. ok is false exactly when newGeoGrid2D declines the deployment.
+func udgGrid2D(pts []Point, radius float64) (*graph.Graph, bool) {
+	gg, ok := newGeoGrid2D(pts, radius)
+	if !ok {
+		return nil, false
+	}
+	n := len(pts)
+	xs, ys := gg.xs, gg.ys
+	b := graph.NewBuilder(n)
+	nbrs := make([]int32, 0, 64)
+	for i := 0; i < n; i++ {
+		xi, yi := xs[i], ys[i]
+		nbrs = nbrs[:0]
+		gg.ring(i, func(nodes []int32) {
+			for _, j := range nodes {
+				if j <= int32(i) {
+					continue
+				}
+				dx := xi - xs[j]
+				dy := yi - ys[j]
+				if math.Sqrt(dx*dx+dy*dy) <= radius {
+					nbrs = append(nbrs, j)
+				}
+			}
+		})
+		// Ring cells yield ascending runs, not a globally ascending list;
+		// sort so Add order matches the lexicographic quadratic scan.
+		slices.Sort(nbrs)
+		for _, j := range nbrs {
+			b.Add(i, int(j))
+		}
+	}
+	return b.Build(), true
 }

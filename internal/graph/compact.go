@@ -72,7 +72,7 @@ func (c *CSR) Pack() *CSR {
 		hdrs[v] = blockHeader(list)
 		size += blockLen(list, hdrs[v])
 	}
-	if size > math.MaxUint32 {
+	if uint64(size) > math.MaxUint32 {
 		return c
 	}
 	starts := make([]uint32, n+1)

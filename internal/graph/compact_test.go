@@ -229,7 +229,8 @@ func TestCSRTraversalsMatchGraph(t *testing.T) {
 func TestCSRBuilderMatchesBuilder(t *testing.T) {
 	// Emit the same UDG-style edge set through both construction paths:
 	// Builder (lexicographic Add order → ascending lists) and CSRBuilder
-	// (count pass, arc fill, SortLists). Lists must be identical.
+	// (count pass, then both arcs of every pair in ascending u, the UDG
+	// generator's fill order). Lists must be identical.
 	rng := rand.New(rand.NewSource(99))
 	n := 300
 	type edge struct{ u, v int32 }
@@ -253,12 +254,10 @@ func TestCSRBuilderMatchesBuilder(t *testing.T) {
 		deg[e.v]++
 	}
 	cb := NewCSRBuilder(deg)
-	// Reversed emit order: SortLists must still land on canonical ascending.
-	for i := len(edges) - 1; i >= 0; i-- {
-		cb.Arc(edges[i].u, edges[i].v)
-		cb.Arc(edges[i].v, edges[i].u)
+	for _, e := range edges {
+		cb.Arc(e.u, e.v)
+		cb.Arc(e.v, e.u)
 	}
-	cb.SortLists()
 	got := cb.Finish()
 	if !got.Equal(want) {
 		t.Fatalf("CSRBuilder snapshot differs from Builder snapshot")

@@ -1,24 +1,25 @@
 package graph
 
 // Streaming CSR construction and graph-free traversal — the substrate of
-// the million-node generator path (DESIGN.md §11). The generators' grid-
-// bucketed builders know every vertex's degree after one counting pass, so
-// they can fill the flat edge array directly through CSRBuilder — two
-// passes, no per-vertex slices, no edge staging arrays, no Graph
-// intermediate. The traversal methods (MultiBFS, DiameterApprox, Connected)
-// mirror Graph's so CSR-only pipelines can check connectivity and estimate
-// parameters without ever materializing adjacency-list form.
-
-import "slices"
+// the million-node generator path (DESIGN.md §11). The UDG generator's grid
+// walk knows every vertex's degree once it has staged each pair, so it
+// fills the flat edge array directly through CSRBuilder — no per-vertex
+// slices, no Builder edge staging, no Graph intermediate. The traversal
+// methods (MultiBFS, DiameterApprox, Connected) mirror Graph's so CSR-only
+// pipelines can check connectivity and estimate parameters without ever
+// materializing adjacency-list form.
 
 // CSRBuilder assembles a CSR directly from per-vertex degree counts: the
-// caller counts degrees (pass 1), constructs the builder — which turns the
-// counts into the offsets table in place — then emits every directed arc
-// (pass 2) and calls Finish. Each undirected edge {u,v} must be emitted as
-// both Arc(u,v) and Arc(v,u), exactly as it was counted toward both
-// degrees. The builder performs no dedup and no range checks — it is the
-// trusted back end of generators that already emit each pair once — and
-// total work is O(n + m) with the edge array as the only O(m) allocation.
+// caller counts degrees, constructs the builder — which turns the counts
+// into the offsets table in place — then emits every directed arc and
+// calls Finish. Each undirected edge {u,v} must be emitted as both
+// Arc(u,v) and Arc(v,u), exactly as it was counted toward both degrees.
+// Each list keeps its arcs in emission order, so emitting both arcs of
+// every pair in lexicographic (u, v) order, u < v, yields the ascending
+// lists Builder produces. The builder performs no dedup, no sorting and no
+// range checks — it is the trusted back end of generators that already
+// emit each pair once, in order — and total work is O(n + m) with the edge
+// array as the only O(m) allocation.
 type CSRBuilder struct {
 	offsets []int32
 	cursor  []int32 // per-vertex write position; starts at offsets[v]
@@ -45,16 +46,6 @@ func NewCSRBuilder(deg []int32) *CSRBuilder {
 func (b *CSRBuilder) Arc(u, v int32) {
 	b.edges[b.cursor[u]] = v
 	b.cursor[u]++
-}
-
-// SortLists sorts every vertex's list ascending, in place. Generators whose
-// fill pass emits ring-ordered runs call it to land on the same canonical
-// ascending lists the Builder path produces (its lexicographic edge order
-// yields ascending lists by construction).
-func (b *CSRBuilder) SortLists() {
-	for v := 0; v+1 < len(b.offsets); v++ {
-		slices.Sort(b.edges[b.offsets[v]:b.offsets[v+1]])
-	}
 }
 
 // Finish returns the snapshot. The builder must not be reused afterwards.
