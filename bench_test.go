@@ -132,15 +132,6 @@ func BenchmarkRadioMISGrid256(b *testing.B) {
 	}
 }
 
-func BenchmarkGhaffariLocalGrid1024(b *testing.B) {
-	g := gen.Grid(32, 32)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := mis.GhaffariLocal(g, 400, uint64(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkPartitionMIS(b *testing.B) {
 	g := gen.Grid(32, 32)
 	centers := g.GreedyMIS(nil)

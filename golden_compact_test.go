@@ -1,5 +1,5 @@
 // golden_compact_test.go re-runs two golden workloads through the graph-free
-// radio.RunCSR entry point with the adjacency delta-packed — forcing the
+// radio.RunCSR entry point with the adjacency bit-packed — forcing the
 // compact form far below its size threshold — and requires the frozen
 // digests from golden_test.go byte-for-byte. This pins two contracts at
 // once: the packed neighbor blocks are protocol-invisible (same delivery,

@@ -129,9 +129,9 @@ func TruncatedDecayBroadcast(g *graph.Graph, source int, maxSteps int, seed uint
 	return run(g, map[int]int64{source: 1}, levels, maxSteps, seed, nil)
 }
 
-// MultiSourceDecay broadcasts the highest of several source ranks (used by
+// multiSourceDecay broadcasts the highest of several source ranks (used by
 // leader election and by tests of the multi-source property).
-func MultiSourceDecay(g *graph.Graph, sources map[int]int64, maxSteps int, seed uint64) (*Result, error) {
+func multiSourceDecay(g *graph.Graph, sources map[int]int64, maxSteps int, seed uint64) (*Result, error) {
 	levels := int(math.Ceil(math.Log2(float64(g.N() + 1))))
 	return run(g, sources, levels, maxSteps, seed, nil)
 }
@@ -172,7 +172,7 @@ func DecayLeaderElection(g *graph.Graph, maxSteps int, seed uint64) (*ElectionRe
 			er.Retries++
 			continue
 		}
-		res, err := MultiSourceDecay(g, sources, maxSteps, seed+uint64(retry))
+		res, err := multiSourceDecay(g, sources, maxSteps, seed+uint64(retry))
 		if err != nil {
 			return nil, err
 		}

@@ -68,7 +68,7 @@ func TestTruncatedDecayBroadcastPath(t *testing.T) {
 
 func TestMultiSourceDecayHighestWins(t *testing.T) {
 	g := gen.Grid(6, 6)
-	res, err := MultiSourceDecay(g, map[int]int64{0: 5, 35: 77}, 0, 4)
+	res, err := multiSourceDecay(g, map[int]int64{0: 5, 35: 77}, 0, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

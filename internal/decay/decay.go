@@ -116,6 +116,3 @@ func (p *Phase) Deliver(local int, msg radio.Message) {
 func (p *Phase) Heard() (radio.Message, bool) {
 	return p.heardFirst, p.heardCount > 0
 }
-
-// HeardCount returns the number of successful receptions during the phase.
-func (p *Phase) HeardCount() int { return p.heardCount }

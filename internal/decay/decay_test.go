@@ -83,8 +83,8 @@ func TestPhaseHeardBookkeeping(t *testing.T) {
 	if !ok || msg != "first" {
 		t.Fatalf("Heard = %v %v", msg, ok)
 	}
-	if p.HeardCount() != 2 {
-		t.Fatalf("HeardCount = %d", p.HeardCount())
+	if p.heardCount != 2 {
+		t.Fatalf("heardCount = %d", p.heardCount)
 	}
 }
 

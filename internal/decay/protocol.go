@@ -45,6 +45,3 @@ func (d *Node) Done() bool { return d.done }
 
 // Heard reports the phase outcome after the run.
 func (d *Node) Heard() (radio.Message, bool) { return d.phase.Heard() }
-
-// HeardCount returns the number of receptions.
-func (d *Node) HeardCount() int { return d.phase.HeardCount() }

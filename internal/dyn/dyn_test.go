@@ -152,8 +152,12 @@ func TestPartitionHeal(t *testing.T) {
 	if cut.HasEdge(4, 5) {
 		t.Fatal("crossing edge survived the cut")
 	}
-	if comp, count := cut.Components(); count != 2 || comp[0] == comp[9] {
-		t.Fatalf("cut graph has %d components, want 2", count)
+	// Exactly two components: each side is connected and the two are apart.
+	from0, from9 := cut.BFS(0), cut.BFS(9)
+	for v := 0; v < 10; v++ {
+		if (from0[v] == graph.Unreachable) != side[v] || (from9[v] == graph.Unreachable) == side[v] {
+			t.Fatalf("vertex %d (side %v): dist from 0 = %d, from 9 = %d", v, side[v], from0[v], from9[v])
+		}
 	}
 	// Healing restores the edge set (list order may differ: re-added edges
 	// append at the end of their endpoints' neighbor lists).

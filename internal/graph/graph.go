@@ -99,15 +99,6 @@ func (g *Graph) MaxDegree() int {
 // with the graph and must not be modified.
 func (g *Graph) Neighbors(v int) []int32 { return g.adj[v] }
 
-// NeighborsInt returns a fresh []int copy of v's adjacency list.
-func (g *Graph) NeighborsInt(v int) []int {
-	out := make([]int, len(g.adj[v]))
-	for i, w := range g.adj[v] {
-		out[i] = int(w)
-	}
-	return out
-}
-
 // SortAdjacency sorts every adjacency list ascending, giving the graph a
 // canonical in-memory form (useful for deterministic iteration and tests).
 func (g *Graph) SortAdjacency() {
@@ -193,32 +184,6 @@ func (g *Graph) Connected() bool {
 	return ok
 }
 
-// Components returns a component id per vertex and the component count.
-func (g *Graph) Components() (comp []int, count int) {
-	comp = make([]int, g.n)
-	for i := range comp {
-		comp[i] = -1
-	}
-	for v := 0; v < g.n; v++ {
-		if comp[v] != -1 {
-			continue
-		}
-		comp[v] = count
-		queue := []int32{int32(v)}
-		for head := 0; head < len(queue); head++ {
-			u := queue[head]
-			for _, w := range g.adj[u] {
-				if comp[w] == -1 {
-					comp[w] = count
-					queue = append(queue, w)
-				}
-			}
-		}
-		count++
-	}
-	return comp, count
-}
-
 // ErrDisconnected is returned by Diameter on disconnected graphs.
 var ErrDisconnected = errors.New("graph: disconnected")
 
@@ -285,25 +250,4 @@ func (g *Graph) InducedSubgraph(keep []int) (*Graph, []int) {
 		}
 	}
 	return sub, remap
-}
-
-// BallVertices returns the vertices within hop distance d of v (inclusive).
-func (g *Graph) BallVertices(v, d int) []int {
-	dist := g.BFS(v)
-	var out []int
-	for u, du := range dist {
-		if du != Unreachable && du <= d {
-			out = append(out, u)
-		}
-	}
-	return out
-}
-
-// DegreeHistogram returns counts indexed by degree.
-func (g *Graph) DegreeHistogram() []int {
-	hist := make([]int, g.MaxDegree()+1)
-	for _, nb := range g.adj {
-		hist[len(nb)]++
-	}
-	return hist
 }

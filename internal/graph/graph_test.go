@@ -163,23 +163,6 @@ func randomConnected(n int, rng *xrand.RNG) *Graph {
 	return g
 }
 
-func TestComponents(t *testing.T) {
-	g := New(6)
-	g.AddEdge(0, 1)
-	g.AddEdge(2, 3)
-	g.AddEdge(3, 4)
-	comp, count := g.Components()
-	if count != 3 {
-		t.Fatalf("count = %d, want 3", count)
-	}
-	if comp[0] != comp[1] || comp[2] != comp[3] || comp[3] != comp[4] {
-		t.Fatalf("bad components %v", comp)
-	}
-	if comp[0] == comp[2] || comp[5] == comp[0] || comp[5] == comp[2] {
-		t.Fatalf("merged components %v", comp)
-	}
-}
-
 func TestInducedSubgraph(t *testing.T) {
 	g := cycle(6)
 	sub, remap := g.InducedSubgraph([]int{0, 1, 2, 4})
@@ -210,20 +193,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestBallVertices(t *testing.T) {
-	g := path(7)
-	ball := g.BallVertices(3, 2)
-	want := map[int]bool{1: true, 2: true, 3: true, 4: true, 5: true}
-	if len(ball) != len(want) {
-		t.Fatalf("ball %v", ball)
-	}
-	for _, v := range ball {
-		if !want[v] {
-			t.Fatalf("unexpected ball vertex %d", v)
-		}
-	}
-}
-
 func TestValidatePropertyRandomGraphs(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		rng := xrand.New(seed)
@@ -233,14 +202,6 @@ func TestValidatePropertyRandomGraphs(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestDegreeHistogram(t *testing.T) {
-	g := path(4) // degrees 1,2,2,1
-	h := g.DegreeHistogram()
-	if h[1] != 2 || h[2] != 2 {
-		t.Fatalf("histogram %v", h)
 	}
 }
 
@@ -259,14 +220,5 @@ func TestSortAdjacency(t *testing.T) {
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNeighborsIntIsCopy(t *testing.T) {
-	g := path(3)
-	nb := g.NeighborsInt(1)
-	nb[0] = 99
-	if g.Neighbors(1)[0] == 99 {
-		t.Fatal("NeighborsInt shares storage")
 	}
 }

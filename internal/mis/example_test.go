@@ -27,14 +27,3 @@ func ExampleVerify() {
 	// true
 	// false
 }
-
-func ExampleGhaffariLocal() {
-	// The idealized LOCAL-model reference converges in O(log n) rounds.
-	g := gen.Clique(64)
-	set, _, err := mis.GhaffariLocal(g, 200, 3)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(len(set)) // a clique's MIS is a single node
-	// Output: 1
-}

@@ -1,13 +1,9 @@
-// Package mis implements the paper's maximal-independent-set algorithms:
-//
-//   - Radio MIS (Algorithm 7) — the first MIS algorithm for general-graph
-//     radio networks, running in O(log³ n) time-steps (Theorem 14). Each
-//     Ghaffari round is simulated with O(log² n) radio time-steps: two
-//     amplified Decay blocks (marked-neighbor detection and MIS
-//     announcement, Claim 10) and one EstimateEffectiveDegree block
-//     (Algorithm 6, Lemma 11).
-//   - Ghaffari's LOCAL-model MIS (Algorithm 4) and Luby's classic algorithm,
-//     used as idealized references and baselines.
+// Package mis implements the paper's Radio MIS (Algorithm 7), the first
+// maximal-independent-set algorithm for general-graph radio networks,
+// running in O(log³ n) time-steps (Theorem 14). Each Ghaffari round is
+// simulated with O(log² n) radio time-steps: two amplified Decay blocks
+// (marked-neighbor detection and MIS announcement, Claim 10) and one
+// EstimateEffectiveDegree block (Algorithm 6, Lemma 11).
 //
 // The package also exposes per-round state snapshots so experiments can
 // count the golden rounds of Lemmas 12–13.
@@ -20,7 +16,6 @@ import (
 	"repro/internal/decay"
 	"repro/internal/graph"
 	"repro/internal/radio"
-	"repro/internal/xrand"
 )
 
 // Params configures Radio MIS. Zero values select defaults suitable for the
@@ -519,15 +514,4 @@ func maxIntSlice(xs []int) int {
 		}
 	}
 	return m
-}
-
-// localSeedRNGs is shared scaffolding for the LOCAL-model reference
-// algorithms.
-func localSeedRNGs(n int, seed uint64) []*xrand.RNG {
-	root := xrand.New(seed)
-	rngs := make([]*xrand.RNG, n)
-	for v := range rngs {
-		rngs[v] = root.Split(uint64(v))
-	}
-	return rngs
 }

@@ -119,28 +119,6 @@ func (a *Assignment) NumClusters() int {
 	return len(seen)
 }
 
-// Members returns cluster membership keyed by center.
-func (a *Assignment) Members() map[int][]int {
-	m := make(map[int][]int)
-	for u, c := range a.Center {
-		if c >= 0 {
-			m[c] = append(m[c], u)
-		}
-	}
-	return m
-}
-
-// Radii returns per-cluster max hop distance to the center.
-func (a *Assignment) Radii() map[int]int {
-	r := make(map[int]int)
-	for u, c := range a.Center {
-		if c >= 0 && a.Hops[u] > r[c] {
-			r[c] = a.Hops[u]
-		}
-	}
-	return r
-}
-
 // MaxRadius returns the largest cluster radius (0 for all-singleton).
 func (a *Assignment) MaxRadius() int {
 	maxR := 0

@@ -149,36 +149,6 @@ func TestPartitionClusterRadiusBound(t *testing.T) {
 	}
 }
 
-func TestMembersAndRadiiConsistent(t *testing.T) {
-	rng := xrand.New(8)
-	g := gen.Cycle(30)
-	a, err := Partition(g, allVertices(30), 0.3, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	members := a.Members()
-	total := 0
-	for c, ms := range members {
-		total += len(ms)
-		found := false
-		for _, m := range ms {
-			if m == c {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("center %d not in own cluster", c)
-		}
-	}
-	if total != 30 {
-		t.Fatalf("members cover %d of 30", total)
-	}
-	radii := a.Radii()
-	if len(radii) != a.NumClusters() {
-		t.Fatalf("radii entries %d vs clusters %d", len(radii), a.NumClusters())
-	}
-}
-
 func TestDisconnectedGraphPartialAssignment(t *testing.T) {
 	g := graph.New(4)
 	g.AddEdge(0, 1) // component {0,1}; {2,3} isolated vertices

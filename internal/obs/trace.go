@@ -56,16 +56,6 @@ func TraceID(ctx context.Context) string {
 	return id
 }
 
-// EnsureTrace returns ctx carrying a trace ID, minting one if absent, plus
-// the ID itself.
-func EnsureTrace(ctx context.Context) (context.Context, string) {
-	if id := TraceID(ctx); id != "" {
-		return ctx, id
-	}
-	id := NewTraceID()
-	return WithTrace(ctx, id), id
-}
-
 // Span is one timed phase of a traced operation. Spans are logged (not
 // collected): End emits a single structured line with the span name, trace
 // ID, duration, and any attributes, at Debug level — span logs are a

@@ -36,14 +36,6 @@ func TestTraceContext(t *testing.T) {
 	if TraceID(ctx) != "" {
 		t.Fatal("empty context should carry no trace")
 	}
-	ctx2, id := EnsureTrace(ctx)
-	if id == "" || TraceID(ctx2) != id {
-		t.Fatalf("EnsureTrace: id=%q ctx carries %q", id, TraceID(ctx2))
-	}
-	ctx3, id3 := EnsureTrace(ctx2)
-	if id3 != id || ctx3 != ctx2 {
-		t.Fatal("EnsureTrace on a traced context should be a no-op")
-	}
 	if got := TraceID(WithTrace(ctx, "abc123")); got != "abc123" {
 		t.Fatalf("WithTrace round trip = %q", got)
 	}

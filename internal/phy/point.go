@@ -17,16 +17,3 @@ func (p Point) Dist(q Point) float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// DistLInf returns the ℓ∞ distance between p and q. ℓ∞ on R^d is a doubling
-// metric, so unit ball graphs under it are growth-bounded (§1.3).
-func (p Point) DistLInf(q Point) float64 {
-	var m float64
-	for i := range p {
-		d := math.Abs(p[i] - q[i])
-		if d > m {
-			m = d
-		}
-	}
-	return m
-}

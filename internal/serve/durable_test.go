@@ -49,7 +49,7 @@ func TestServiceRestartServesDurableHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{Graph: "churn:grid", N: 25, Algo: "flood", Seed: 3, Reps: 2, Epochs: 3, EpochLen: 8, Rate: 0.2}
-	want, _, st, err := s.Simulate(sp)
+	want, _, st, err := s.simulate(context.Background(), sp)
 	if err != nil || st != StatusMiss {
 		t.Fatalf("first life: status %s err %v", st, err)
 	}
@@ -60,7 +60,7 @@ func TestServiceRestartServesDurableHits(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, hash, st2, err := s2.Simulate(sp)
+	got, hash, st2, err := s2.simulate(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestServiceRestartServesDurableHits(t *testing.T) {
 	}
 	// The durable hit populated the in-memory tier; the content-addressed
 	// endpoint serves the same bytes.
-	if _, _, st3, err := s2.Simulate(sp); err != nil || st3 != StatusHit {
+	if _, _, st3, err := s2.simulate(context.Background(), sp); err != nil || st3 != StatusHit {
 		t.Fatalf("second read after restart: status %s err %v, want memory hit", st3, err)
 	}
 	if rb, ok := s2.ResultByHash(hash); !ok || !bytes.Equal(rb, want) {
@@ -182,7 +182,7 @@ func TestServiceKillMidJobRecoversByteIdentical(t *testing.T) {
 	f := chaos.New()
 	f.ArmDelay("serve.journal", 1, -1, 25*time.Millisecond) // skip the submit record, stall everything after
 	s.SetFaults(f)
-	v, err := s.SubmitJob(sp)
+	v, err := s.SubmitJobCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestServiceJobRetriesTransientStoreFault(t *testing.T) {
 	f.Arm("store.put", 0, 1, diskErr)
 	s.SetFaults(f)
 
-	v, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 5, Reps: 2})
+	v, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 5, Reps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestServiceJobFailureIsTerminalAndSurvivesRestart(t *testing.T) {
 	f := chaos.New()
 	f.Arm("store.put", 0, -1, errors.New("disk gone"))
 	s.SetFaults(f)
-	v, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 6})
+	v, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestServiceJobFailureIsTerminalAndSurvivesRestart(t *testing.T) {
 func TestServiceJobDeadlineTerminal(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 4, CacheEntries: 8, JobTimeout: 3 * time.Millisecond, RetryBackoff: time.Millisecond})
 	defer s.Close()
-	v, err := s.SubmitJob(Spec{Graph: "grid", N: 400, Algo: "mis", Seed: 7, Reps: 64})
+	v, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 400, Algo: "mis", Seed: 7, Reps: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,25 +308,25 @@ func TestServiceDrainServesReadsRefusesCompute(t *testing.T) {
 	}
 	a := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}
 	b := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}
-	wantA, _, _, err := s.Simulate(a)
+	wantA, _, _, err := s.simulate(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := s.Simulate(b); err != nil {
+	if _, _, _, err := s.simulate(context.Background(), b); err != nil {
 		t.Fatal(err) // evicts a from the 1-entry LRU; both are durable now
 	}
 	s.Close()
 	if !s.Stats().Draining {
 		t.Fatal("stats do not report draining")
 	}
-	if _, _, st, err := s.Simulate(b); err != nil || st != StatusHit {
+	if _, _, st, err := s.simulate(context.Background(), b); err != nil || st != StatusHit {
 		t.Fatalf("drained memory hit: status %s err %v", st, err)
 	}
-	gotA, _, st, err := s.Simulate(a)
+	gotA, _, st, err := s.simulate(context.Background(), a)
 	if err != nil || st != StatusDurableHit || !bytes.Equal(gotA, wantA) {
 		t.Fatalf("drained durable hit: status %s err %v identical=%v", st, err, bytes.Equal(gotA, wantA))
 	}
-	if _, _, _, err := s.Simulate(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3}); !errors.Is(err, ErrDraining) {
+	if _, _, _, err := s.simulate(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("drained compute: %v, want ErrDraining", err)
 	}
 }
@@ -356,7 +356,7 @@ func TestServiceSimulateCtxDeadline(t *testing.T) {
 	close(release)
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if _, _, st, err := s.Simulate(sp); err == nil && st == StatusHit {
+		if _, _, st, err := s.simulate(context.Background(), sp); err == nil && st == StatusHit {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -366,7 +366,7 @@ func TestServiceSimulateCtxDeadline(t *testing.T) {
 	}
 }
 
-// SubmitJob consults the durable tier before queueing, like Simulate: after
+// SubmitJobCtx consults the durable tier before queueing, like simulate: after
 // a restart empties the memory cache, a previously computed spec completes
 // at submit time as a cache hit — even with the only worker busy and the
 // queue full — without executing, and the content-addressed endpoint serves
@@ -379,7 +379,7 @@ func TestServiceSubmitJobDurableHitSkipsQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 9}
-	want, hash, _, err := s.Simulate(sp)
+	want, hash, _, err := s.simulate(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,15 +400,15 @@ func TestServiceSubmitJobDurableHitSkipsQueue(t *testing.T) {
 		close(release)
 		s2.Close()
 	}()
-	if _, err := s2.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil {
+	if _, err := s2.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-running // the only worker is now blocked inside job 1
-	if _, err := s2.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}); err != nil {
+	if _, err := s2.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}); err != nil {
 		t.Fatal(err) // fills the queue
 	}
 	execs := s2.Stats().Executions
-	v, err := s2.SubmitJob(sp)
+	v, err := s2.SubmitJobCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatalf("durable spec with a full queue: %v, want an immediate hit", err)
 	}
@@ -434,7 +434,7 @@ func TestServiceCorruptDurableEntryRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 9}
-	want, hash, _, err := s.Simulate(sp)
+	want, hash, _, err := s.simulate(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestServiceCorruptDurableEntryRecomputed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, _, st, err := s2.Simulate(sp)
+	got, _, st, err := s2.simulate(context.Background(), sp)
 	if err != nil || st != StatusMiss || !bytes.Equal(got, want) {
 		t.Fatalf("corrupt entry: status %s err %v identical=%v, want recomputed miss", st, err, bytes.Equal(got, want))
 	}

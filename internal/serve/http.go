@@ -9,7 +9,7 @@ package serve
 //	GET  /v1/stats         — service counters
 //	GET  /healthz          — liveness
 //
-// Simulate and results responses carry X-Cache (HIT | HIT-DURABLE |
+// /v1/simulate and /v1/results responses carry X-Cache (HIT | HIT-DURABLE |
 // HIT-PREFIX | MISS | COALESCED) and X-Spec-Hash headers so load
 // generators can measure cache behavior client-side.
 //

@@ -8,6 +8,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -243,7 +244,7 @@ func TestStatsConsistentSnapshot(t *testing.T) {
 		close(started)
 		<-release
 	}
-	if _, err := s.SubmitJob(Spec{Graph: "grid", N: 25, Algo: "mis", Seed: 3}); err != nil {
+	if _, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 25, Algo: "mis", Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
 	<-started

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -178,7 +179,7 @@ func TestServicePrefixHitByteIdenticalGolden(t *testing.T) {
 
 	eph := New(Config{Workers: 1})
 	defer eph.Close()
-	coldLong, _, st, err := eph.Simulate(long)
+	coldLong, _, st, err := eph.simulate(context.Background(), long)
 	if err != nil || st != StatusMiss {
 		t.Fatalf("ephemeral cold run: status %s err %v", st, err)
 	}
@@ -191,10 +192,10 @@ func TestServicePrefixHitByteIdenticalGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, st, err := s.Simulate(short); err != nil || st != StatusMiss {
+	if _, _, st, err := s.simulate(context.Background(), short); err != nil || st != StatusMiss {
 		t.Fatalf("seeding run: status %s err %v", st, err)
 	}
-	warmLong, _, st2, err := s.Simulate(long)
+	warmLong, _, st2, err := s.simulate(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestServicePrefixHitByteIdenticalGolden(t *testing.T) {
 	}
 	// The repeat is a plain memory hit — the prefix layer never overrides a
 	// cached result.
-	if _, _, st3, err := s.Simulate(long); err != nil || st3 != StatusHit {
+	if _, _, st3, err := s.simulate(context.Background(), long); err != nil || st3 != StatusHit {
 		t.Fatalf("repeat: status %s err %v, want memory hit", st3, err)
 	}
 }
@@ -239,7 +240,7 @@ func TestServicePrefixStampedeOneWorker(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], _, _, errs[i] = s.Simulate(sweepSpec(3 + i))
+			got[i], _, _, errs[i] = s.simulate(context.Background(), sweepSpec(3+i))
 		}(i)
 	}
 	wg.Wait()
@@ -281,7 +282,7 @@ func TestServiceSnapCorruptionQuarantinedAndCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, _, st, err := s.Simulate(sweepSpec(3)); err != nil || st != StatusMiss {
+	if _, _, st, err := s.simulate(context.Background(), sweepSpec(3)); err != nil || st != StatusMiss {
 		t.Fatalf("seeding run: status %s err %v", st, err)
 	}
 	entries := snapEntries(t, dir)
@@ -300,7 +301,7 @@ func TestServiceSnapCorruptionQuarantinedAndCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := fresh.JSON()
-	got, _, st, err := s.Simulate(long)
+	got, _, st, err := s.simulate(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestServiceSnapCorruptionQuarantinedAndCold(t *testing.T) {
 		t.Fatalf("stats %+v, want no prefix hits riding corrupt snapshots", stats)
 	}
 	// The cold run re-seeded the keyspace; the next variant rides it again.
-	if _, _, st, err := s.Simulate(sweepSpec(6)); err != nil || st != StatusPrefixHit {
+	if _, _, st, err := s.simulate(context.Background(), sweepSpec(6)); err != nil || st != StatusPrefixHit {
 		t.Fatalf("after re-seeding: status %s err %v, want prefix hit", st, err)
 	}
 }
@@ -333,7 +334,7 @@ func TestServiceTornSnapshotWriteInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, st, err := s.Simulate(sweepSpec(3)); err != nil || st != StatusMiss {
+	if _, _, st, err := s.simulate(context.Background(), sweepSpec(3)); err != nil || st != StatusMiss {
 		t.Fatalf("seeding run: status %s err %v", st, err)
 	}
 	entries := snapEntries(t, dir)
@@ -373,7 +374,7 @@ func TestServiceTornSnapshotWriteInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	want, _ := fresh.JSON()
-	got, _, _, err := s2.Simulate(long)
+	got, _, _, err := s2.simulate(context.Background(), long)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,14 +513,14 @@ func TestServiceSnapPublishFailureIsAdvisory(t *testing.T) {
 		b, _ := r.JSON()
 		return b
 	}
-	got, _, st, err := s.Simulate(syncSpec)
+	got, _, st, err := s.simulate(context.Background(), syncSpec)
 	if err != nil || st != StatusMiss {
 		t.Fatalf("sync: status %s err %v", st, err)
 	}
 	if !bytes.Equal(got, want(syncSpec)) {
 		t.Fatal("sync body differs from Execute")
 	}
-	v, err := s.SubmitJob(jobSpec)
+	v, err := s.SubmitJobCtx(context.Background(), jobSpec)
 	if err != nil {
 		t.Fatal(err)
 	}

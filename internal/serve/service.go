@@ -20,14 +20,14 @@ import (
 	"repro/internal/store"
 )
 
-// ErrQueueFull is returned by SubmitJob when the bounded job queue is at
+// ErrQueueFull is returned by SubmitJobCtx when the bounded job queue is at
 // capacity — the service's backpressure signal (HTTP 503 + Retry-After).
 var ErrQueueFull = errors.New("job queue full")
 
-// ErrClosed is returned by SubmitJob after Close.
+// ErrClosed is returned by SubmitJobCtx after Close.
 var ErrClosed = errors.New("service closed")
 
-// ErrBusy is returned by Simulate when the sync path already has
+// ErrBusy is returned by SimulateCtx when the sync path already has
 // Workers+QueueDepth requests admitted — the sync counterpart of
 // ErrQueueFull (HTTP 503), so a burst of distinct-spec sync requests
 // cannot park unboundedly many goroutines on the execution semaphore.
@@ -383,7 +383,7 @@ func (s *Service) SetFaults(f *chaos.Faults) {
 
 // Close stops accepting new work, fails queued-but-unstarted jobs in
 // memory (the journal keeps them resumable for the next Open), waits for
-// in-flight executions, and closes the journal. In-flight sync Simulate
+// in-flight executions, and closes the journal. In-flight sync SimulateCtx
 // calls are unaffected.
 func (s *Service) Close() {
 	s.mu.Lock()
@@ -423,7 +423,7 @@ func (s *Service) Kill() {
 // CacheStatus classifies how a sync request was satisfied.
 type CacheStatus string
 
-// Simulate outcomes: served from the in-memory cache, from the durable
+// Sync outcomes: served from the in-memory cache, from the durable
 // store (populating the cache), computed fresh, or coalesced onto a
 // concurrent identical execution.
 const (
@@ -436,16 +436,11 @@ const (
 	StatusPrefixHit CacheStatus = "prefix"
 )
 
-// Simulate is the sync path: canonicalize, consult the cache, then the
+// simulate is the sync path: canonicalize, consult the cache, then the
 // durable store, otherwise execute exactly once across all concurrent
 // identical requests. The returned bytes are the deterministic Result
-// JSON; callers must not mutate them.
-func (s *Service) Simulate(raw Spec) (data []byte, hash string, status CacheStatus, err error) {
-	return s.simulate(context.Background(), raw)
-}
-
-// simulate is Simulate with the caller's context carried for trace
-// propagation (spans; DESIGN.md §10). The context does NOT cancel the
+// JSON; callers must not mutate them. ctx carries the caller's trace ID
+// for span propagation (DESIGN.md §10); it does NOT cancel the
 // computation — SimulateCtx detaches it deliberately.
 func (s *Service) simulate(ctx context.Context, raw Spec) (data []byte, hash string, status CacheStatus, err error) {
 	sp, err := raw.Canonicalize()
@@ -517,11 +512,12 @@ func (s *Service) simulate(ctx context.Context, raw Spec) (data []byte, hash str
 	}
 }
 
-// SimulateCtx is Simulate bounded by ctx (the per-request deadline). On
-// expiry it returns ctx's error; the underlying computation — shared with
-// every coalesced waiter — is NOT abandoned: it finishes, lands in the
-// cache and store, and a retried request becomes a cheap hit. Admission
-// control bounds how many such detached computations can exist.
+// SimulateCtx is the sync entry point: simulate bounded by ctx (the
+// per-request deadline). On expiry it returns ctx's error; the underlying
+// computation — shared with every coalesced waiter — is NOT abandoned: it
+// finishes, lands in the cache and store, and a retried request becomes a
+// cheap hit. Admission control bounds how many such detached computations
+// can exist.
 func (s *Service) SimulateCtx(ctx context.Context, raw Spec) (data []byte, hash string, status CacheStatus, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, "", "", err
@@ -643,19 +639,13 @@ func (s *Service) onProbe(trial int, smp *radio.ProbeSample) {
 	s.met.observeProbe(smp)
 }
 
-// SubmitJob is the async path: canonicalize, register and journal a job,
-// and either satisfy it from the cache or the durable store immediately or
-// enqueue it.
-// ErrQueueFull signals backpressure; the caller should retry later or fall
-// back to the sync endpoint.
-func (s *Service) SubmitJob(raw Spec) (JobView, error) {
-	return s.SubmitJobCtx(context.Background(), raw)
-}
-
-// SubmitJobCtx is SubmitJob with the caller's context: its trace ID is
-// recorded on the job, journaled with the submit record, and attached to
-// every log line the job's lifecycle emits — the async half of the
-// trace-propagation contract (DESIGN.md §10).
+// SubmitJobCtx is the async path: canonicalize, register and journal a
+// job, and either satisfy it from the cache or the durable store
+// immediately or enqueue it. ErrQueueFull signals backpressure; the caller
+// should retry later or fall back to the sync endpoint. The caller's trace
+// ID is recorded on the job, journaled with the submit record, and
+// attached to every log line the job's lifecycle emits — the async half of
+// the trace-propagation contract (DESIGN.md §10).
 func (s *Service) SubmitJobCtx(ctx context.Context, raw Spec) (JobView, error) {
 	sp, err := raw.Canonicalize()
 	if err != nil {

@@ -25,14 +25,14 @@ func TestServiceCacheMatchesFreshRecomputation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got1, _, st1, err := s.Simulate(sp)
+		got1, _, st1, err := s.simulate(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if st1 != StatusMiss {
 			t.Fatalf("%s: first request status %s, want miss", sp.Algo, st1)
 		}
-		got2, _, st2, err := s.Simulate(sp)
+		got2, _, st2, err := s.simulate(context.Background(), sp)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestServiceSingleflightExecutesOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, _, errs[i] = s.Simulate(sp)
+			results[i], _, _, errs[i] = s.simulate(context.Background(), sp)
 		}(i)
 	}
 	<-entered // one goroutine is executing; the rest will coalesce
@@ -106,14 +106,14 @@ func TestServiceQueueFull(t *testing.T) {
 		s.Close()
 	}()
 
-	if _, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil {
+	if _, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	<-running // worker is now blocked inside job 1
-	if _, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}); err != nil {
+	if _, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2}); err != nil {
 		t.Fatal(err) // fills the queue
 	}
-	_, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3})
+	_, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3})
 	if !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("third submit: %v, want ErrQueueFull", err)
 	}
@@ -140,7 +140,7 @@ func TestServiceAsyncJobLifecycle(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8, CacheEntries: 8})
 	defer s.Close()
 	sp := Spec{Graph: "grid", N: 25, Algo: "mis", Seed: 21, Reps: 3}
-	v, err := s.SubmitJob(sp)
+	v, err := s.SubmitJobCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestServiceAsyncJobLifecycle(t *testing.T) {
 	}
 
 	// A duplicate submission is satisfied from the cache without queueing.
-	v2, err := s.SubmitJob(sp)
+	v2, err := s.SubmitJobCtx(context.Background(), sp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +180,11 @@ func TestServiceAsyncJobLifecycle(t *testing.T) {
 func TestServiceBadSpecAndUnknowns(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	if _, _, _, err := s.Simulate(Spec{Graph: "nosuch"}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("Simulate bad spec: %v", err)
+	if _, _, _, err := s.simulate(context.Background(), Spec{Graph: "nosuch"}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("simulate bad spec: %v", err)
 	}
-	if _, err := s.SubmitJob(Spec{Algo: "nosuch"}); !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("SubmitJob bad spec: %v", err)
+	if _, err := s.SubmitJobCtx(context.Background(), Spec{Algo: "nosuch"}); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("SubmitJobCtx bad spec: %v", err)
 	}
 	if _, ok := s.Job("job-999"); ok {
 		t.Fatal("unknown job resolved")
@@ -201,7 +201,7 @@ func TestServiceJobRetentionBounded(t *testing.T) {
 	defer s.Close()
 	var ids []string
 	for seed := uint64(1); seed <= 6; seed++ {
-		v, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: seed})
+		v, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,20 +220,20 @@ func TestServiceJobRetentionBounded(t *testing.T) {
 }
 
 // /v1/stats must not double-count: one cold request is exactly one miss
-// (Simulate's lookup), not a second one from the internal post-slot
+// (simulate's lookup), not a second one from the internal post-slot
 // re-check, and a repeat is exactly one hit.
 func TestServiceStatsCountRequestLookupsOnly(t *testing.T) {
 	s := New(Config{Workers: 1, CacheEntries: 8})
 	defer s.Close()
 	sp := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 31}
-	if _, _, _, err := s.Simulate(sp); err != nil {
+	if _, _, _, err := s.simulate(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
 	if st.CacheMisses != 1 || st.CacheHits != 0 || st.Executions != 1 {
 		t.Fatalf("after cold request: %+v, want 1 miss / 0 hits / 1 execution", st)
 	}
-	if _, _, _, err := s.Simulate(sp); err != nil {
+	if _, _, _, err := s.simulate(context.Background(), sp); err != nil {
 		t.Fatal(err)
 	}
 	st = s.Stats()
@@ -264,7 +264,7 @@ func TestServiceSyncAdmissionBounded(t *testing.T) {
 	for seed := uint64(1); seed <= 2; seed++ {
 		sp := Spec{Graph: "grid", N: 16, Algo: "mis", Seed: seed}
 		go func() {
-			_, _, _, err := s.Simulate(sp)
+			_, _, _, err := s.simulate(context.Background(), sp)
 			errc <- err
 		}()
 	}
@@ -277,7 +277,7 @@ func TestServiceSyncAdmissionBounded(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	_, _, _, err := s.Simulate(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3})
+	_, _, _, err := s.simulate(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 3})
 	if !errors.Is(err, ErrBusy) {
 		t.Fatalf("over-limit request: %v, want ErrBusy", err)
 	}
@@ -290,7 +290,7 @@ func TestServiceSyncAdmissionBounded(t *testing.T) {
 		}
 	}
 	s.testHookExecuting = nil
-	if _, _, st, err := s.Simulate(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil || st != StatusHit {
+	if _, _, st, err := s.simulate(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1}); err != nil || st != StatusHit {
 		t.Fatalf("post-release cache hit: status %s err %v", st, err)
 	}
 }
@@ -306,12 +306,12 @@ func TestServiceCloseAbandonsQueuedJobs(t *testing.T) {
 		once.Do(func() { close(running) })
 		<-release
 	}
-	v1, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1})
+	v1, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-running // worker blocked inside job 1
-	v2, err := s.SubmitJob(Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2})
+	v2, err := s.SubmitJobCtx(context.Background(), Spec{Graph: "grid", N: 16, Algo: "mis", Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -369,7 +369,7 @@ func TestServiceSlotWaitCacheLandingIsHit(t *testing.T) {
 func TestServiceSubmitAfterClose(t *testing.T) {
 	s := New(Config{Workers: 1})
 	s.Close()
-	if _, err := s.SubmitJob(Spec{}); !errors.Is(err, ErrClosed) {
+	if _, err := s.SubmitJobCtx(context.Background(), Spec{}); !errors.Is(err, ErrClosed) {
 		t.Fatalf("submit after close: %v, want ErrClosed", err)
 	}
 	s.Close() // idempotent
@@ -411,12 +411,12 @@ func TestServiceSyncAndJobCoalesce(t *testing.T) {
 				simulate := func() {
 					go func() {
 						defer close(syncDone)
-						syncBody, _, _, syncErr = s.Simulate(sp)
+						syncBody, _, _, syncErr = s.simulate(context.Background(), sp)
 					}()
 				}
 				var v JobView
 				submit := func() {
-					if v, err = s.SubmitJob(sp); err != nil {
+					if v, err = s.SubmitJobCtx(context.Background(), sp); err != nil {
 						t.Fatal(err)
 					}
 				}

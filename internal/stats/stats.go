@@ -1,7 +1,6 @@
 // Package stats provides the small statistics toolkit the experiment
 // harness uses: summary statistics, least-squares fits on transformed axes
-// (for scaling-exponent estimation), bootstrap confidence intervals, and
-// Markdown/TSV table rendering.
+// (for scaling-exponent estimation), and Markdown table rendering.
 package stats
 
 import (
@@ -9,8 +8,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-
-	"repro/internal/xrand"
 )
 
 // Mean returns the arithmetic mean (0 for empty input).
@@ -39,11 +36,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// Median returns the median (0 for empty input).
-func Median(xs []float64) float64 {
-	return Quantile(xs, 0.5)
-}
-
 // Quantile returns the q-th quantile (linear interpolation, q clamped to
 // [0,1]; 0 for empty input).
 func Quantile(xs []float64, q float64) float64 {
@@ -66,14 +58,6 @@ func Quantile(xs []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Percentile returns the p-th percentile of xs with p in [0, 100] (linear
-// interpolation between order statistics, exactly Quantile(xs, p/100); 0
-// for empty input). Percentile(xs, 50) is the median; the serve load
-// generator reports request-latency p50/p95/p99 through it.
-func Percentile(xs []float64, p float64) float64 {
-	return Quantile(xs, p/100)
 }
 
 // Min returns the minimum (0 for empty input).
@@ -124,8 +108,8 @@ func Summarize(xs []float64) Summary {
 }
 
 // CI95 returns the normal-approximation 95% confidence interval for the
-// mean, mean ± 1.96·s/√n. Unlike BootstrapCI it consumes no randomness, so
-// aggregated experiment output stays deterministic.
+// mean, mean ± 1.96·s/√n. It consumes no randomness, so aggregated
+// experiment output stays deterministic.
 func CI95(xs []float64) (lo, hi float64) {
 	m := Mean(xs)
 	if len(xs) < 2 {
@@ -199,29 +183,8 @@ func PowerLawExponent(x, y []float64) (float64, error) {
 	return f.Slope, nil
 }
 
-// BootstrapCI returns an approximate (lo, hi) confidence interval for the
-// mean at the given level (e.g. 0.95) using `resamples` bootstrap draws.
-func BootstrapCI(xs []float64, level float64, resamples int, rng *xrand.RNG) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	if resamples < 10 {
-		resamples = 10
-	}
-	means := make([]float64, resamples)
-	for r := range means {
-		var s float64
-		for i := 0; i < len(xs); i++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[r] = s / float64(len(xs))
-	}
-	alpha := (1 - level) / 2
-	return Quantile(means, alpha), Quantile(means, 1-alpha)
-}
-
-// Table renders aligned rows for experiment output, as Markdown or TSV;
-// the exported fields double as the structured-JSON form of a table
+// Table renders aligned rows for experiment output as Markdown; the
+// exported fields double as the structured-JSON form of a table
 // (`radionet-bench -json`).
 type Table struct {
 	Title  string     `json:"title"`
@@ -286,16 +249,6 @@ func (t *Table) Markdown() string {
 	b.WriteString("\n")
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return b.String()
-}
-
-// TSV renders the table as tab-separated values (header first).
-func (t *Table) TSV() string {
-	var b strings.Builder
-	b.WriteString(strings.Join(t.Header, "\t") + "\n")
-	for _, row := range t.Rows {
-		b.WriteString(strings.Join(row, "\t") + "\n")
 	}
 	return b.String()
 }

@@ -1,12 +1,11 @@
 // Package trace records per-step simulation activity into a bounded
-// in-memory buffer and exports it as CSV or JSON Lines, for debugging
+// in-memory buffer and exports it as CSV, for debugging
 // protocols and for plotting time-series (informed-node curves, collision
 // rates) outside Go. It plugs into any engine through the radio.Options
 // OnStep hook.
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
@@ -16,13 +15,13 @@ import (
 
 // Event is one recorded step.
 type Event struct {
-	Step       int `json:"step"`
-	Transmits  int `json:"transmits"`
-	Deliveries int `json:"deliveries"`
-	Collisions int `json:"collisions"`
+	Step       int
+	Transmits  int
+	Deliveries int
+	Collisions int
 	// Custom is an optional protocol-defined gauge (e.g. informed count),
 	// filled by the Gauge callback if installed.
-	Custom int `json:"custom,omitempty"`
+	Custom int
 }
 
 // Recorder buffers step events up to a capacity (0 = unbounded).
@@ -61,12 +60,6 @@ func (r *Recorder) OnStep() func(radio.StepStats) {
 	}
 }
 
-// Events returns the recorded events (shared slice; treat as read-only).
-func (r *Recorder) Events() []Event { return r.events }
-
-// Dropped reports how many events were discarded due to the capacity bound.
-func (r *Recorder) Dropped() int { return r.dropped }
-
 // Len returns the number of recorded events.
 func (r *Recorder) Len() int { return len(r.events) }
 
@@ -80,17 +73,6 @@ func (r *Recorder) WriteCSV(w io.Writer) error {
 			strconv.Itoa(ev.Deliveries) + "," + strconv.Itoa(ev.Collisions) + "," +
 			strconv.Itoa(ev.Custom) + "\n"
 		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteJSONL writes one JSON object per line.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, ev := range r.events {
-		if err := enc.Encode(ev); err != nil {
 			return err
 		}
 	}

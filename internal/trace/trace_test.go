@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -42,7 +41,7 @@ func TestRecorderCapturesSteps(t *testing.T) {
 	if r.Len() != 20 {
 		t.Fatalf("recorded %d events, want 20", r.Len())
 	}
-	for i, ev := range r.Events() {
+	for i, ev := range r.events {
 		if ev.Step != i {
 			t.Fatalf("event %d has step %d", i, ev.Step)
 		}
@@ -60,8 +59,8 @@ func TestRecorderCapacity(t *testing.T) {
 	if r.Len() != 5 {
 		t.Fatalf("len %d, want capacity 5", r.Len())
 	}
-	if r.Dropped() != 15 {
-		t.Fatalf("dropped %d, want 15", r.Dropped())
+	if r.dropped != 15 {
+		t.Fatalf("dropped %d, want 15", r.dropped)
 	}
 }
 
@@ -72,8 +71,8 @@ func TestGauge(t *testing.T) {
 	hook := r.OnStep()
 	hook(radio.StepStats{Step: 0})
 	hook(radio.StepStats{Step: 1})
-	if r.Events()[0].Custom != 10 || r.Events()[1].Custom != 20 {
-		t.Fatalf("gauge values %v", r.Events())
+	if r.events[0].Custom != 10 || r.events[1].Custom != 20 {
+		t.Fatalf("gauge values %v", r.events)
 	}
 }
 
@@ -89,25 +88,6 @@ func TestWriteCSV(t *testing.T) {
 	}
 	if lines[0] != "step,transmits,deliveries,collisions,custom" {
 		t.Fatalf("header %q", lines[0])
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	r := record(t, 0)
-	var buf bytes.Buffer
-	if err := r.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 20 {
-		t.Fatalf("%d JSONL lines", len(lines))
-	}
-	var ev Event
-	if err := json.Unmarshal([]byte(lines[3]), &ev); err != nil {
-		t.Fatal(err)
-	}
-	if ev.Step != 3 {
-		t.Fatalf("round-trip step %d", ev.Step)
 	}
 }
 

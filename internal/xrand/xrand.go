@@ -94,11 +94,6 @@ func mulHi(a, b uint64) (hi, lo uint64) {
 	return hi, lo
 }
 
-// Int63 returns a non-negative 63-bit pseudo-random integer.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -158,17 +153,5 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)
 		swap(i, j)
-	}
-}
-
-// Normal samples a standard normal via the Marsaglia polar method.
-func (r *RNG) Normal() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
 	}
 }

@@ -209,25 +209,6 @@ func TestPermUniformFirstElement(t *testing.T) {
 	}
 }
 
-func TestNormalMoments(t *testing.T) {
-	r := New(37)
-	const draws = 200000
-	var sum, sumSq float64
-	for i := 0; i < draws; i++ {
-		v := r.Normal()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.03 {
-		t.Errorf("normal variance %v, want ~1", variance)
-	}
-}
-
 func TestShufflePreservesMultiset(t *testing.T) {
 	r := New(41)
 	xs := []int{1, 2, 3, 4, 5, 6, 7}
